@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 
 from . import doc_parsers, html_extract, minipdf, pdf_extract
-from .functions.metrics import byte_histogram, is_near_duplicate_cached
+from .functions.metrics import SpanSketch, is_near_duplicate_cached, rejected_by_bounds
 
 NEAR_DUP_THRESHOLD = 0.2   # base_ocr.py:716-723
 NEAR_DUP_WINDOW = 5        # compare against the last k emitted spans
@@ -39,10 +39,13 @@ def filter_duplicate_spans(paragraphs: list[dict]) -> list[dict]:
 
     State (the emitted set + last-k window) is scoped to one document —
     never actor-global — so results cannot depend on batch composition
-    (SURVEY §2.4 T5).
+    (SURVEY §2.4 T5).  Each new span meets the window through the sound
+    bound cascade of :func:`~ocr_ray.functions.metrics.rejected_by_bounds`;
+    only pairs no bound rejects reach :func:`is_near_duplicate_cached`
+    and its exact edit-distance test.
     """
     emitted: set[str] = set()
-    last: list[tuple] = []
+    last: list[SpanSketch] = []
     out = []
     for p in paragraphs:
         if p["type"] != "text":
@@ -52,13 +55,14 @@ def filter_duplicate_spans(paragraphs: list[dict]) -> list[dict]:
         if text in emitted:
             continue
         if len(text) <= NEAR_DUP_MAX_LEN:
-            hist = byte_histogram(text)
+            span = SpanSketch(text)
             if any(
-                is_near_duplicate_cached(text, hist, prev, prev_hist, NEAR_DUP_THRESHOLD)
-                for prev, prev_hist in last
+                not rejected_by_bounds(span, prev, NEAR_DUP_THRESHOLD)
+                and is_near_duplicate_cached(span, prev, NEAR_DUP_THRESHOLD)
+                for prev in last
             ):
                 continue
-            last.append((text, hist))
+            last.append(span)
             if len(last) > NEAR_DUP_WINDOW:
                 last.pop(0)
         emitted.add(text)

@@ -86,13 +86,24 @@ class Node:
                 c._collect_titles(out)
 
     def find_all(self, tags) -> list["Node"]:
+        """Descendants whose tag is in ``tags``, in document (pre)order.
+        Iterative, so DOM depth is bounded by memory, not the stack."""
         found: list[Node] = []
-        for c in self.children:
-            if isinstance(c, Node):
-                if c.tag in tags:
-                    found.append(c)
-                found.extend(c.find_all(tags))
-        return found
+        parents: list = []  # suspended child iterators of the ancestors
+        it = iter(self.children)
+        while True:
+            for c in it:
+                if isinstance(c, Node):
+                    if c.tag in tags:
+                        found.append(c)
+                    if c.children:
+                        parents.append(it)
+                        it = iter(c.children)
+                        break
+            else:
+                if not parents:
+                    return found
+                it = parents.pop()
 
 
 class _TreeBuilder(_StdHTMLParser):
@@ -263,6 +274,7 @@ class Block:
     kind: str            # text|code|table|list|heading|chrome
     node: Node
     dom_path: str
+    text: str = ""       # node.get_text(), computed once at segmentation
     char_start: int = 0
     char_end: int = 0
     text_density: float = 0.0
@@ -340,6 +352,7 @@ def segment_blocks(root: Node, *, max_blocks: int = 10_000) -> list[Block]:
                     kind=kind,
                     node=c,
                     dom_path=cpath,
+                    text=text,
                     char_start=cursor,
                     char_end=cursor + n,
                     text_density=text_density,
@@ -451,7 +464,7 @@ def extract_paragraphs(
             titles = titles[:level]
             if len(titles) != level:
                 titles.extend([""] * (level - len(titles)))
-            titles.append(b.node.get_text())
+            titles.append(b.text)
             continue
         if b.kind == "chrome" or b.score < score_threshold:
             continue
@@ -469,7 +482,7 @@ def extract_paragraphs(
                 continue
             text = "\n".join("- " + it for it in items)
         else:
-            text = b.node.get_text()
+            text = b.text
             if not text:
                 continue
             if number_links and b.kind == "text":

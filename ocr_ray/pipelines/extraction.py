@@ -1,10 +1,10 @@
 """The flagship extraction pipeline.
 
     read_parquet(pages, columns=[url, html, lang])
-      -> map_batches(add url-hash partition_id)            # vectorized
-      -> [resume] anti-join vs completed manifest           # broadcast set
-      -> map_batches(PageExtractor, actor pool)             # detect+extract
-      -> write_parquet(out, partition_cols=[partition_id])  # resumable layout
+      -> [resume] drop rows of committed partitions         # map-side filter
+      -> map_batches(extract_batch | PageExtractor)         # detect+extract
+      -> map_batches(writer.write_block)                    # partitioned write
+      -> groupby(partition_id) over the tiny stat partials  # one row each
       -> commit per-partition manifests
 
 Design notes for 100 TB (SURVEY §4):
@@ -15,19 +15,22 @@ Design notes for 100 TB (SURVEY §4):
 - ``partition_id = crc32(url) % P`` breaks host-level clustering (hot hosts
   arrive contiguously in crawl order); P is the resume granule, sized so a
   partition ≈ a few GB at production scale.
-- the extractor is an actor pool: parser setup per actor, not per batch;
-  ``batch_size`` is small because page payloads are wide (memory-aware).
+- the write is :mod:`ocr_ray.pipelines.writer`'s, shared with every other
+  partitioned output: each task sorts its block by partition id once,
+  writes one file per partition it holds under ``partition_id=N/`` and
+  folds (rows, url crc32 sum, digest sum) per partition.  Files are named
+  ``part-<task id>-<attempt salt>-<per-task sequence>.parquet``, so two
+  blocks never share a name — even when they carry the same urls for a
+  partition (a recrawl) — and a retried task sweeps its failed attempt's
+  files.
 - error rows flow through as ``status='error'`` instead of poisoning a
-  batch; retries therefore never see a half-written partition (writes land
-  under ``partition_id=...`` dirs; the manifest commit is the atomic gate).
+  batch; the manifest commit is the atomic gate: a partition dir without a
+  committed manifest is debris and is deleted before a resume recomputes
+  it.
 """
 
 from __future__ import annotations
 
-import os
-import zlib
-
-import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
@@ -40,6 +43,7 @@ from ..stages.extract import (
     extract_batch,
 )
 from ..state import manifest as mf
+from . import writer as wr
 
 PAGE_COLUMNS = ["url", "html", "lang"]
 
@@ -59,16 +63,6 @@ def default_concurrency() -> int:
     except Exception:
         n = 4
     return max(2, n - max(1, n // 8))
-
-
-def add_partition_id(batch: pa.Table, *, n_partitions: int) -> pa.Table:
-    urls = batch.column("url").to_pylist()
-    pids = np.fromiter(
-        (zlib.crc32(u.encode("utf-8")) % n_partitions for u in urls),
-        dtype=np.int64,
-        count=len(urls),
-    )
-    return batch.append_column("partition_id", pa.array(pids, pa.int64()))
 
 
 def extract_pages(
@@ -123,12 +117,7 @@ def extract_pages(
             n_buckets = 64
 
         def add_bucket(batch: pa.Table) -> pa.Table:
-            urls = batch.column("url").to_pylist()
-            b = np.fromiter(
-                (zlib.crc32(u.encode("utf-8")) % n_buckets for u in urls),
-                dtype=np.int64,
-                count=len(urls),
-            )
+            b = wr.key_partition_ids(batch.column("url"), n_buckets)
             return batch.append_column("url_bucket", pa.array(b, pa.int64()))
 
         return (
@@ -159,11 +148,6 @@ def run_extraction(
     Returns run stats ``{'extracted': n, 'skipped_partitions': k}``.
     """
     ds = read_pages(source, columns=PAGE_COLUMNS)
-    ds = ds.map_batches(
-        add_partition_id,
-        fn_kwargs={"n_partitions": n_partitions},
-        batch_format="pyarrow",
-    )
 
     if resume:
         mf.purge_mismatched(output_dir, n_partitions)
@@ -189,15 +173,13 @@ def run_extraction(
     # the manifest commit is the atomic gate: a partition dir WITHOUT a
     # committed manifest is debris from a killed run — remove it, or the
     # recompute would APPEND duplicate rows next to the orphaned files
-    _clean_uncommitted_partitions(output_dir, committed=frozenset(done))
+    wr.clean_debris(output_dir, committed=frozenset(done))
     if done:
-        done_ids = frozenset(done)
-
-        def _skip_done(batch: pa.Table) -> pa.Table:
-            mask = [pid not in done_ids for pid in batch.column("partition_id").to_pylist()]
-            return batch.filter(pa.array(mask, pa.bool_()))
-
-        ds = ds.map_batches(_skip_done, batch_format="pyarrow")
+        ds = ds.map_batches(
+            wr.drop_partitions,
+            fn_kwargs={"key": "url", "n_partitions": n_partitions, "done": frozenset(done)},
+            batch_format="pyarrow",
+        )
 
     out = extract_pages(
         ds,
@@ -206,205 +188,44 @@ def run_extraction(
         batch_size=batch_size,
         concurrency=concurrency,
     )
-    # extractor stages rebuild the schema, so re-derive partition_id from url
-    # (cheap, deterministic) for the partitioned write.
-    out = out.map_batches(
-        add_partition_id, fn_kwargs={"n_partitions": n_partitions}, batch_format="pyarrow"
-    )
-    # Write + stats in ONE pipeline pass: each task writes its rows into
-    # partition_id=... dirs and emits a tiny (pid, n_docs, url_sum,
-    # digest_sum) partial; a groupby over those partials yields one row per
-    # partition.  Nothing but <= n_partitions stat rows ever reaches the
-    # driver (the round-1 commit serially read every partition's url+digest
-    # columns back through one process).
-    stats_rows = (
-        out.map_batches(
-            _write_partition_files,
-            fn_kwargs={"output_dir": output_dir},
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-        .groupby("partition_id")
-        .map_groups(_combine_stats, batch_format="pyarrow")
-        .take_all()
-    )
     n_rows = 0
-    for r in stats_rows:
-        pid = int(r["partition_id"])
+    for r in wr.write_and_fold(
+        out, output_dir, key="url", n_partitions=n_partitions, digest="digest"
+    ):
         mf.commit_partition(
             output_dir,
-            pid,
-            n_docs=int(r["n_docs"]),
-            input_digest="{:016x}".format(int(r["url_sum"]) & _U64),
-            output_digest="{:016x}".format(int(r["digest_sum"]) & _U64),
+            int(r["partition_id"]),
+            n_docs=int(r["n_rows"]),
+            input_digest=wr.digest_hex(r["key_sum"]),
+            output_digest=wr.digest_hex(r["digest_sum"]),
             n_partitions=n_partitions,
         )
-        n_rows += int(r["n_docs"])
+        n_rows += int(r["n_rows"])
     return {"extracted": n_rows, "skipped_partitions": len(done)}
-
-
-def _clean_uncommitted_partitions(output_dir: str, *, committed=frozenset()) -> int:
-    """Delete partition dirs that have no committed manifest entry (debris
-    from a run killed between write and commit). Returns count removed."""
-    import shutil
-
-    if not os.path.isdir(output_dir):
-        return 0
-    removed = 0
-    for name in os.listdir(output_dir):
-        if not name.startswith("partition_id="):
-            continue
-        pid = int(name.split("=", 1)[1])
-        if pid not in committed:
-            shutil.rmtree(os.path.join(output_dir, name), ignore_errors=True)
-            removed += 1
-    return removed
-
-
-_U64 = (1 << 64) - 1
-
-
-def _url_sum(urls) -> int:
-    """Order-insensitive, duplicate-sensitive url digest: sum of crc32s
-    mod 2^64 (same combine rule as manifest.combine_digests)."""
-    acc = 0
-    for u in urls:
-        acc = (acc + zlib.crc32(u.encode("utf-8"))) & _U64
-    return acc
-
-
-def _write_partition_files(batch: pa.Table, *, output_dir: str) -> pa.Table:
-    """Write one parquet file per (task block, partition) under
-    partition_id=... dirs and return per-partition stat partials.
-
-    File names derive from the batch's url-sum + row count, so a retried
-    task overwrites its own file instead of appending duplicates."""
-    import pyarrow.compute as pc
-
-    out_pid, out_n, out_url, out_dig = [], [], [], []
-    if batch.num_rows:
-        pid_arr = batch.column("partition_id")
-        for pid in sorted(set(pid_arr.to_pylist())):
-            sub = batch.filter(pc.equal(pid_arr, pa.scalar(pid)))
-            url_acc = _url_sum(sub.column("url").to_pylist())
-            dig_acc = 0
-            for d in sub.column("digest").to_pylist():
-                if d:
-                    dig_acc = (dig_acc + int(d[:16], 16)) & _U64
-            pdir = os.path.join(output_dir, "partition_id={}".format(pid))
-            os.makedirs(pdir, exist_ok=True)
-            fname = "part-{:016x}-{}.parquet".format(url_acc, sub.num_rows)
-            pq.write_table(sub.drop_columns(["partition_id"]), os.path.join(pdir, fname))
-            out_pid.append(pid)
-            out_n.append(sub.num_rows)
-            out_url.append(url_acc)
-            out_dig.append(dig_acc)
-    return pa.table(
-        {
-            "partition_id": pa.array(out_pid, pa.int64()),
-            "n_docs": pa.array(out_n, pa.int64()),
-            "url_sum": pa.array(out_url, pa.uint64()),
-            "digest_sum": pa.array(out_dig, pa.uint64()),
-        }
-    )
-
-
-def _combine_stats(g: pa.Table) -> pa.Table:
-    return pa.table(
-        {
-            "partition_id": g.column("partition_id").slice(0, 1),
-            "n_docs": pa.array([sum(g.column("n_docs").to_pylist())], pa.int64()),
-            "url_sum": pa.array(
-                [sum(g.column("url_sum").to_pylist()) & _U64], pa.uint64()
-            ),
-            "digest_sum": pa.array(
-                [sum(g.column("digest_sum").to_pylist()) & _U64], pa.uint64()
-            ),
-        }
-    )
 
 
 def _input_partition_digests(source, n_partitions: int) -> dict[int, str]:
     """Per-partition url-sum digests of the CURRENT input (url column only,
     pruned at the read) — the resume validation side of the manifest."""
-    ds = read_pages(source, columns=["url"]).map_batches(
-        add_partition_id, fn_kwargs={"n_partitions": n_partitions},
-        batch_format="pyarrow",
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        pids, sums = [], []
-        if batch.num_rows:
-            pid_arr = batch.column("partition_id")
-            urls = batch.column("url").to_pylist()
-            acc: dict[int, int] = {}
-            for pid, u in zip(pid_arr.to_pylist(), urls):
-                acc[pid] = (acc.get(pid, 0) + zlib.crc32(u.encode("utf-8"))) & _U64
-            pids = sorted(acc)
-            sums = [acc[p] for p in pids]
-        return pa.table(
-            {
-                "partition_id": pa.array(pids, pa.int64()),
-                "url_sum": pa.array(sums, pa.uint64()),
-            }
+    rows = wr.fold_partials(
+        read_pages(source, columns=["url"]).map_batches(
+            wr.block_stats,
+            fn_kwargs={"key": "url", "n_partitions": n_partitions},
+            batch_format="pyarrow",
         )
-
-    def combine(g: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "partition_id": g.column("partition_id").slice(0, 1),
-                "url_sum": pa.array(
-                    [sum(g.column("url_sum").to_pylist()) & _U64], pa.uint64()
-                ),
-            }
-        )
-
-    rows = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("partition_id")
-        .map_groups(combine, batch_format="pyarrow")
-        .take_all()
     )
-    return {
-        int(r["partition_id"]): "{:016x}".format(int(r["url_sum"]) & _U64)
-        for r in rows
-    }
+    return {int(r["partition_id"]): wr.digest_hex(r["key_sum"]) for r in rows}
 
 
-def compact_partitions(output_dir: str, *, max_files_per_partition: int = 1) -> dict:
+def compact_partitions(output_dir: str) -> dict:
     """Output maintenance: merge each committed partition's many small
-    files (the writer emits one per task x partition) into
-    ``max_files_per_partition``.  Safe under the manifest contract: the
-    new file is written alongside, the partition's combined digest is
-    recomputed and REQUIRED to match the committed ``output_digest``
-    before the old files are removed — a mismatch aborts that partition
-    untouched.  Returns ``{'compacted': n, 'skipped': k}``."""
-    done = mf.completed_partitions(output_dir)
-    compacted = skipped = 0
-    for pid, entry in sorted(done.items()):
-        pdir = os.path.join(output_dir, "partition_id={}".format(pid))
-        if not os.path.isdir(pdir):
-            skipped += 1
-            continue
-        files = sorted(f for f in os.listdir(pdir) if f.endswith(".parquet"))
-        if len(files) <= max_files_per_partition:
-            skipped += 1
-            continue
-        tbl = pq.read_table(pdir)
-        digest = mf.combine_digests(tbl.column("digest").to_pylist())
-        if digest != entry.get("output_digest"):
-            skipped += 1  # integrity mismatch: leave the partition alone
-            continue
-        tmp = os.path.join(pdir, "compact-{:016x}.parquet.tmp".format(
-            int(digest[:16], 16)))
-        pq.write_table(tbl, tmp)
-        final = tmp[: -len(".tmp")]
-        os.replace(tmp, final)
-        for f in files:
-            if f != os.path.basename(final):
-                os.remove(os.path.join(pdir, f))
-        compacted += 1
-    return {"compacted": compacted, "skipped": skipped}
+    files (the writer emits one per task x partition) into right-sized
+    ones — :func:`writer.compact_partitioned`, with every partition's
+    combined row digest REQUIRED to match its committed ``output_digest``
+    (a mismatch leaves that partition untouched).  Returns
+    ``{'compacted': n, 'skipped': k}``."""
+    r = wr.compact_partitioned(output_dir, digest="digest")
+    return {"compacted": r["compacted_partitions"], "skipped": r["skipped_partitions"]}
 
 
 def read_extracted(output_dir: str) -> pa.Table:

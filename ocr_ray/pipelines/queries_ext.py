@@ -363,6 +363,14 @@ def q_semantic_dedup(sf_dir: str):
                 "semantic_dedup: |embedding| > 15 overflows the int64 "
                 "squared-cosine lattice (grid value %d)" % int(np.abs(x).max())
             )
+        # planted copies live at vec_id + 100000 (the oracle's UNION ALL
+        # does the same): a real id in that range would collide with a
+        # copy's id and both sides would diverge — refuse, as above
+        if ids.size and int(ids.max()) >= 100000:
+            raise ValueError(
+                "semantic_dedup: vec_id %d collides with the planted-copy "
+                "id range (vec_id + 100000)" % int(ids.max())
+            )
         planted = ids % 10 == 0
         ids = np.concatenate([ids, ids[planted] + 100000])
         x = np.concatenate([x, x[planted]], axis=0)

@@ -1,20 +1,22 @@
-"""Generic resumable partitioned writer — the extraction write path
-(pipelines/extraction.py:200-243) generalized to ANY keyed Dataset, so
-curation outputs (dedup winners, filtered corpora, per-source samples) get
-the same guarantees the extraction output has:
+"""The one resumable partitioned writer: ``run_extraction`` and
+:func:`write_partitioned` (ANY keyed Dataset — dedup winners, filtered
+corpora, per-source samples) both write through :func:`write_block`, so
+every output gets the same guarantees:
 
-- output lands as ``partition_id=N/`` parquet directories (key-hash
-  partitioned, deterministic), never one giant file;
-- each finished partition commits a lineage manifest row (rows, key
-  digest) atomically AFTER its files land (state/manifest.py);
+- output lands as ``partition_id=N/`` directories (key-hash partitioned,
+  deterministic), never one giant file;
+- each finished partition commits a lineage manifest row (rows, input and
+  output digests) atomically AFTER its files land (state/manifest.py);
 - a rerun skips committed partitions with a map-side filter against the
-  broadcast done-set (no driver scan of prior output), deletes debris of
-  partitions that died between write and commit, and recomputes only the
-  missing key ranges.
+  done-set (no driver scan of prior output), deletes debris of partitions
+  that died between write and commit, and recomputes only the missing key
+  ranges.
 
-The per-partition stats fold in the SAME pipeline pass as the write (one
-tiny (pid, n_rows, key_sum) partial per task, one groupby) — only
-``<= n_partitions`` stat rows ever reach the driver.
+Each write task sorts its block by partition id once, writes each
+partition's slice (zero-copy after the one ``take``) with its format's
+writer, and folds a tiny per-partition stat partial with
+``np.add.reduceat``; one groupby over the partials yields one row per
+partition, so only ``<= n_partitions`` stat rows ever reach the driver.
 """
 
 from __future__ import annotations
@@ -33,41 +35,52 @@ from ..state import manifest as mf
 
 _U64 = (1 << 64) - 1
 
+#: stat partial / folded stat row: rows, key digest and output digest per
+#: partition; digests are sums mod 2^64 (manifest.combine_digests' rule)
+STATS_SCHEMA = pa.schema(
+    [
+        ("partition_id", pa.int64()),
+        ("n_rows", pa.int64()),
+        ("key_sum", pa.uint64()),
+        ("digest_sum", pa.uint64()),
+    ]
+)
 
-def _key_partition_ids(col: pa.ChunkedArray, n_partitions: int) -> np.ndarray:
-    """Deterministic partition ids for an int or string key column
-    (Knuth multiplicative hash for ints, crc32 for strings — never
-    Python's salted hash)."""
-    if pa.types.is_integer(col.type):
-        vals = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        return ((vals * np.uint64(2654435761)) % n_partitions).astype(np.int64)
-    return np.array(
-        [zlib.crc32(str(v).encode("utf-8")) % n_partitions for v in col.to_pylist()],
-        dtype=np.int64,
+
+def _key_crcs(col: pa.ChunkedArray) -> np.ndarray:
+    """crc32 of each key's ``str()`` as uint64 — the per-row term of the
+    key digest, and the partition hash of string keys."""
+    return np.fromiter(
+        (zlib.crc32(str(v).encode("utf-8")) for v in col.to_pylist()),
+        dtype=np.uint64,
+        count=len(col),
     )
 
 
-def _content_digest(tbl: pa.Table) -> str:
-    """Deterministic 16-hex digest over the table's FULL serialized rows
-    (Arrow IPC stream bytes) — identical content -> identical name."""
-    import hashlib
+def key_partition_ids(
+    col: pa.ChunkedArray, n_partitions: int, crcs: np.ndarray | None = None
+) -> np.ndarray:
+    """Deterministic partition ids for an int or string key column
+    (Knuth multiplicative hash for ints, crc32 for strings — never
+    Python's salted hash).  ``crcs`` reuses :func:`_key_crcs` of ``col``."""
+    if pa.types.is_integer(col.type):
+        vals = col.to_numpy(zero_copy_only=False).astype(np.uint64)
+        return ((vals * np.uint64(2654435761)) % n_partitions).astype(np.int64)
+    if crcs is None:
+        crcs = _key_crcs(col)
+    return (crcs % np.uint64(n_partitions)).astype(np.int64)
 
-    sink = pa.BufferOutputStream()
-    with pa.ipc.new_stream(sink, tbl.schema) as w:
-        w.write_table(tbl)
-    return hashlib.sha256(sink.getvalue()).hexdigest()[:16]
 
-
-#: Per-task write sequence: distinguishes byte-identical blocks written by
-#: the SAME task (same task id + content digest + row count would collide
-#: and silently overwrite, under-writing rows the manifest counted).  Each
-#: (process, task) execution also draws a random ATTEMPT SALT: a retried
-#: task — whether on a fresh worker or a REUSED one (Ray reuses worker
-#: processes, so a process-global counter alone would keep counting and
-#: leave the first attempt's files behind) — carries a different salt, and
-#: every write first sweeps same-task files bearing a foreign salt from the
-#: partition dir it touches.  Deterministic blocks => a retry touches the
-#: same partitions, so all prior-attempt debris is swept before commit.
+#: Per-task write sequence: distinguishes blocks written by the SAME task
+#: (same task id + salt would otherwise collide and silently overwrite,
+#: under-writing rows the manifest counted).  Each (process, task)
+#: execution also draws a random ATTEMPT SALT: a retried task — whether on
+#: a fresh worker or a REUSED one (Ray reuses worker processes, so a
+#: process-global counter alone would keep counting and leave the first
+#: attempt's files behind) — carries a different salt, and every write
+#: first sweeps same-task files bearing a foreign salt from the partition
+#: dirs it touches.  Deterministic blocks => a retry touches the same
+#: partitions, so all prior-attempt debris is swept before commit.
 _TASK_SEQ: dict = {}
 
 
@@ -79,15 +92,6 @@ def _task_salt_seq(task_id: str) -> tuple:
         salt = uuid.uuid4().hex[:8]
     _TASK_SEQ[task_id] = (salt, n + 1)
     return salt, n
-
-
-def _key_sum(col) -> int:
-    """Order-insensitive, duplicate-sensitive key digest (sum of crc32s
-    mod 2^64 — manifest.combine_digests' combine rule)."""
-    acc = 0
-    for v in col.to_pylist():
-        acc = (acc + zlib.crc32(str(v).encode("utf-8"))) & _U64
-    return acc
 
 
 def _write_jsonl(tbl: pa.Table, path: str) -> None:
@@ -128,6 +132,145 @@ FORMATS = {
 }
 
 
+def _sort_block(batch: pa.Table, key: str, n_partitions: int, digest=None):
+    """Sort ``batch`` by partition id once and fold (n_rows, key crc32 sum,
+    sum of the hex ``digest`` column's 64-bit prefixes) per partition;
+    uint64 ``np.add.reduceat`` wraps mod 2^64.  Returns the stable sort
+    permutation, each partition's start in it, and the STATS_SCHEMA
+    partial."""
+    col = batch.column(key)
+    crcs = _key_crcs(col)
+    pids = key_partition_ids(col, n_partitions, crcs)
+    order = np.argsort(pids, kind="stable")
+    starts = np.flatnonzero(np.diff(pids[order], prepend=-1))  # ids are >= 0
+    digests = None
+    if digest:
+        digests = np.fromiter(
+            (int(d[:16], 16) if d else 0 for d in batch.column(digest).to_pylist()),
+            dtype=np.uint64,
+            count=batch.num_rows,
+        )
+
+    def fold(vals):
+        if vals is None or not len(starts):
+            return np.zeros(len(starts), np.uint64)
+        return np.add.reduceat(vals[order], starts)
+
+    partial = pa.table(
+        [pids[order][starts], np.diff(starts, append=len(pids)), fold(crcs), fold(digests)],
+        schema=STATS_SCHEMA,
+    )
+    return order, starts, partial
+
+
+def block_stats(batch: pa.Table, *, key: str, n_partitions: int) -> pa.Table:
+    """The stat partial :func:`write_block` would return, nothing written
+    (the resume side's input digest)."""
+    return _sort_block(batch, key, n_partitions)[2]
+
+
+def write_block(
+    batch: pa.Table,
+    *,
+    output_dir: str,
+    key: str,
+    n_partitions: int,
+    format: str = "parquet",
+    digest: str | None = None,
+) -> pa.Table:
+    """Write one block under ``partition_id=N/`` dirs; return its stat
+    partial (STATS_SCHEMA): rows and ``key`` crc32 sum per partition, plus
+    the sum of the 64-bit prefixes of the hex ``digest`` column when
+    given.
+
+    File names are task id + attempt salt + per-task sequence: blocks
+    never share a name, whatever their content, so no block can overwrite
+    another's rows."""
+    ext, write_fn, _ = FORMATS[format]
+    order, starts, partial = _sort_block(batch, key, n_partitions, digest)
+    if not batch.num_rows:
+        return partial
+    try:
+        task_id = ray.get_runtime_context().get_task_id() or "driver"
+    except Exception:
+        task_id = "driver"
+    salt, seq = _task_salt_seq(task_id)
+    prefix = "part-{}-".format(task_id[:12])
+    fname = "part-{}-{}-{}{}".format(task_id[:12], salt, seq, ext)
+    rows = batch.take(order)
+    for pid, s, n in zip(
+        partial.column("partition_id").to_pylist(),
+        starts.tolist(),
+        partial.column("n_rows").to_pylist(),
+    ):
+        pdir = os.path.join(output_dir, "partition_id={}".format(pid))
+        os.makedirs(pdir, exist_ok=True)
+        for old in os.listdir(pdir):
+            if old.startswith(prefix) and "-{}-".format(salt) not in old:
+                os.remove(os.path.join(pdir, old))
+        write_fn(rows.slice(s, n), os.path.join(pdir, fname))
+    return partial
+
+
+def _combine_partials(group: pa.Table) -> pa.Table:
+    """Fold one partition's stat partials (sums wrap mod 2^64)."""
+    return pa.table(
+        [
+            group.column("partition_id").slice(0, 1),
+            [group.column("n_rows").to_numpy().sum(keepdims=True)],
+            [group.column("key_sum").to_numpy().sum(dtype=np.uint64, keepdims=True)],
+            [group.column("digest_sum").to_numpy().sum(dtype=np.uint64, keepdims=True)],
+        ],
+        schema=STATS_SCHEMA,
+    )
+
+
+def fold_partials(partials: ray.data.Dataset) -> list[dict]:
+    """One folded STATS_SCHEMA row per partition present in ``partials``."""
+    return (
+        partials.groupby("partition_id")
+        .map_groups(_combine_partials, batch_format="pyarrow")
+        .take_all()  # <= n_partitions rows
+    )
+
+
+def write_and_fold(
+    ds: ray.data.Dataset,
+    output_dir: str,
+    *,
+    key: str,
+    n_partitions: int,
+    format: str = "parquet",
+    digest: str | None = None,
+) -> list[dict]:
+    """Write every block of ``ds`` with :func:`write_block` and fold the
+    stat partials in the same pipeline pass."""
+    return fold_partials(
+        ds.map_batches(
+            write_block,
+            fn_kwargs={
+                "output_dir": output_dir, "key": key, "n_partitions": n_partitions,
+                "format": format, "digest": digest,
+            },
+            batch_format="pyarrow",
+            batch_size=None,
+        )
+    )
+
+
+def drop_partitions(
+    batch: pa.Table, *, key: str, n_partitions: int, done: frozenset
+) -> pa.Table:
+    """Rows of ``batch`` whose key does NOT hash into a ``done`` partition."""
+    pids = key_partition_ids(batch.column(key), n_partitions)
+    return batch.filter(pa.array(~np.isin(pids, sorted(done))))
+
+
+def digest_hex(value: int) -> str:
+    """A folded digest sum as the manifest's 16-hex string."""
+    return "{:016x}".format(int(value) & _U64)
+
+
 def write_partitioned(
     ds: ray.data.Dataset,
     output_dir: str,
@@ -141,82 +284,18 @@ def write_partitioned(
     ``{"written": rows_written_this_run, "skipped_partitions": N}``.
     All resume / debris / manifest guarantees hold for every format; the
     file body serializer is the only thing that changes."""
-    ext, write_fn, _ = FORMATS[format]
     mf.purge_mismatched(output_dir, n_partitions)
-    done = set(mf.completed_partitions(output_dir, n_partitions=n_partitions))
-    _clean_debris(output_dir, committed=done)
-    done_ref = ray.put(frozenset(done))
-
-    def assign_and_skip(batch: pa.Table) -> pa.Table:
-        pids = _key_partition_ids(batch.column(key), n_partitions)
-        batch = batch.append_column("__pid", pa.array(pids, pa.int64()))
-        skip = ray.get(done_ref)
-        if skip:
-            keep = np.array([p not in skip for p in pids], dtype=bool)
-            batch = batch.filter(pa.array(keep))
-        return batch
-
-    def write_files(batch: pa.Table) -> pa.Table:
-        pids = batch.column("__pid").to_numpy(zero_copy_only=False)
-        try:
-            task_id = ray.get_runtime_context().get_task_id() or "driver"
-        except Exception:
-            task_id = "driver"
-        out_pid, out_rows, out_sum = [], [], []
-        for pid in np.unique(pids):
-            part = batch.filter(pa.array(pids == pid)).drop_columns(["__pid"])
-            ks = _key_sum(part.column(key))
-            pdir = os.path.join(output_dir, "partition_id={}".format(int(pid)))
-            os.makedirs(pdir, exist_ok=True)
-            # file name = task id + attempt salt + per-task sequence +
-            # content digest: distinct blocks AND byte-identical blocks
-            # from the same task land as distinct files; a retried task
-            # carries a different salt, and sweeping same-task foreign-salt
-            # files from every partition dir it touches removes the failed
-            # attempt's debris before this attempt's file lands
-            salt, seq = _task_salt_seq(task_id)
-            prefix = "part-{}-".format(task_id[:12])
-            for old in os.listdir(pdir):
-                if old.startswith(prefix) and "-{}-".format(salt) not in old:
-                    os.remove(os.path.join(pdir, old))
-            content = _content_digest(part)
-            fname = "part-{}-{}-{}-{}-{}{}".format(
-                task_id[:12], salt, seq, content, part.num_rows, ext
-            )
-            write_fn(part, os.path.join(pdir, fname))
-            out_pid.append(int(pid))
-            out_rows.append(part.num_rows)
-            out_sum.append(ks)
-        return pa.table(
-            {
-                "partition_id": pa.array(out_pid, pa.int64()),
-                "n_rows": pa.array(out_rows, pa.int64()),
-                "key_sum": pa.array(out_sum, pa.int64()),
-            }
+    done = frozenset(mf.completed_partitions(output_dir, n_partitions=n_partitions))
+    clean_debris(output_dir, committed=done)
+    if done:
+        ds = ds.map_batches(
+            drop_partitions,
+            fn_kwargs={"key": key, "n_partitions": n_partitions, "done": done},
+            batch_format="pyarrow",
         )
-
-    def combine(group: pa.Table) -> pa.Table:
-        pid = group.column("partition_id")[0].as_py()
-        n = sum(group.column("n_rows").to_pylist())
-        s = sum(group.column("key_sum").to_pylist()) & _U64
-        return pa.table(
-            {
-                "partition_id": pa.array([pid], pa.int64()),
-                "n_rows": pa.array([n], pa.int64()),
-                "key_sum": pa.array([s], pa.int64()),
-            }
-        )
-
-    stats = (
-        ds.map_batches(assign_and_skip, batch_format="pyarrow")
-        .map_batches(write_files, batch_format="pyarrow", batch_size=None)
-        .groupby("partition_id")
-        .map_groups(combine, batch_format="pyarrow")
-        .take_all()  # <= n_partitions rows
-    )
     written = 0
-    for r in stats:
-        digest = "{:016x}".format(int(r["key_sum"]) & _U64)
+    for r in write_and_fold(ds, output_dir, key=key, n_partitions=n_partitions, format=format):
+        digest = digest_hex(r["key_sum"])
         mf.commit_partition(
             output_dir,
             int(r["partition_id"]),
@@ -229,7 +308,7 @@ def write_partitioned(
     return {"written": written, "skipped_partitions": len(done)}
 
 
-def _clean_debris(output_dir: str, *, committed=frozenset()) -> int:
+def clean_debris(output_dir: str, *, committed=frozenset()) -> int:
     if not os.path.isdir(output_dir):
         return 0
     removed = 0
@@ -246,24 +325,28 @@ def compact_partitioned(
     output_dir: str,
     *,
     target_bytes: int = 128 << 20,
+    digest: str | None = None,
 ) -> dict:
-    """Small-files compaction over a committed ``write_partitioned``
-    output: every partition whose parquet files are smaller than
-    ``target_bytes`` in aggregate-per-file terms is rewritten into
-    ~``ceil(total/target)`` right-sized files.  The lakehouse maintenance
-    pass — streaming writers land one file per (task, partition) and a
-    100 TB run leaves millions of KB-sized files that throttle every
-    later scan.
+    """Small-files compaction over a committed partitioned output: every
+    partition whose parquet files are smaller than ``target_bytes`` in
+    aggregate-per-file terms is rewritten into ~``ceil(total/target)``
+    right-sized files.  The lakehouse maintenance pass — streaming writers
+    land one file per (task, partition) and a 100 TB run leaves millions
+    of KB-sized files that throttle every later scan.
 
     Guarantees:
 
     - manifest rows stay authoritative: each partition's row count and
-      key digest are UNCHANGED (compaction re-groups bytes, never rows),
-      so committed lineage remains valid and resume semantics survive;
+      digests are UNCHANGED (compaction re-groups bytes, never rows), so
+      committed lineage remains valid and resume semantics survive;
+    - never launders corruption: a partition whose rows on disk disagree
+      with its committed ``n_docs`` — or, with ``digest`` set, whose
+      combined ``digest`` column disagrees with its committed
+      ``output_digest`` — is left untouched and counted as skipped;
     - crash-safe: compacted files build in a hidden ``.compact-N.tmp``
-      sibling (invisible to read_partitioned/_clean_debris), row counts
-      are validated, then the swap is two renames — a crash leaves either
-      the old files or the new ones, never both visible;
+      sibling (invisible to read_partitioned/clean_debris), then the swap
+      is two renames — a crash leaves either the old files or the new
+      ones, never both visible;
     - distributed: one Ray task per partition via ``map_batches`` over
       the partition-id list (file-level work, no data shuffle).
 
@@ -279,51 +362,51 @@ def compact_partitioned(
     ):
         shutil.rmtree(tmp, ignore_errors=True)
     if not done:
-        return {"compacted_partitions": 0, "files_before": 0, "files_after": 0}
+        return {"compacted_partitions": 0, "skipped_partitions": 0,
+                "files_before": 0, "files_after": 0}
 
     def compact_one(batch: pa.Table) -> pa.Table:
         out_pid, out_before, out_after = [], [], []
         for pid in batch.column("pid").to_pylist():
             pdir = os.path.join(output_dir, "partition_id={}".format(pid))
+            if not os.path.isdir(pdir):  # committed but gone: skip, count
+                out_pid.append(pid)
+                out_before.append(0)
+                out_after.append(0)
+                continue
             files = sorted(
                 f for f in os.listdir(pdir) if f.endswith(".parquet")
             )
             paths = [os.path.join(pdir, f) for f in files]
             total = sum(os.path.getsize(p) for p in paths)
             n_out = max(1, -(-total // target_bytes))  # ceil
+            out_pid.append(pid)
+            out_before.append(len(files))
+            out_after.append(len(files))
             if len(files) <= n_out:  # already right-sized
-                out_pid.append(pid)
-                out_before.append(len(files))
-                out_after.append(len(files))
                 continue
             tbl = pa.concat_tables(pq.read_table(p) for p in paths)
+            entry = done[pid]
+            if tbl.num_rows != entry["n_docs"] or (
+                digest
+                and mf.combine_digests(tbl.column(digest).to_pylist())
+                != entry["output_digest"]
+            ):
+                continue  # integrity mismatch: leave the partition alone
             tmp = os.path.join(output_dir, ".compact-{}.tmp".format(pid))
             shutil.rmtree(tmp, ignore_errors=True)
             os.makedirs(tmp)
             rows_per = -(-tbl.num_rows // n_out)
-            written_rows = 0
-            k = 0
             for k in range(int(n_out)):
                 part = tbl.slice(k * rows_per, rows_per)
                 if part.num_rows == 0:
                     break
-                pq.write_table(
-                    part,
-                    os.path.join(
-                        tmp, "compact-{}-{}.parquet".format(_content_digest(part), k)
-                    ),
-                )
-                written_rows += part.num_rows
-            if written_rows != tbl.num_rows:  # defensive; cannot happen
-                shutil.rmtree(tmp, ignore_errors=True)
-                raise RuntimeError("compaction row mismatch on partition %d" % pid)
+                pq.write_table(part, os.path.join(tmp, "compact-{}.parquet".format(k)))
             old = os.path.join(output_dir, ".old-{}.tmp".format(pid))
             os.rename(pdir, old)
             os.rename(tmp, pdir)
             shutil.rmtree(old, ignore_errors=True)
-            out_pid.append(pid)
-            out_before.append(len(files))
-            out_after.append(len(os.listdir(pdir)))
+            out_after[-1] = len(os.listdir(pdir))
         return pa.table(
             {
                 "pid": pa.array(out_pid, pa.int64()),
@@ -336,8 +419,10 @@ def compact_partitioned(
         pa.table({"pid": pa.array(sorted(done), pa.int64())})
     )
     stats = pids.map_batches(compact_one, batch_format="pyarrow").to_pandas()
+    compacted = int((stats["after"] < stats["before"]).sum())
     return {
-        "compacted_partitions": int((stats["after"] < stats["before"]).sum()),
+        "compacted_partitions": compacted,
+        "skipped_partitions": len(stats) - compacted,
         "files_before": int(stats["before"].sum()),
         "files_after": int(stats["after"].sum()),
     }

@@ -465,3 +465,24 @@ def test_semantic_dedup_overflow_guard(ray_session, tmp_path):
     pq_mod.write_table(tbl, str(tmp_path / "embeddings.parquet"))
     with _pytest.raises(Exception, match="squared-cosine lattice"):
         q_semantic_dedup(str(tmp_path)).to_pandas()
+
+
+def test_semantic_dedup_rejects_ids_in_planted_range(ray_session, tmp_path):
+    """A real vec_id >= 100000 would share an id with a planted copy
+    (vec_id + 100000) and give duplicate output rows: fail loudly."""
+    import pyarrow.parquet as pq_mod
+    import pytest as _pytest
+
+    from ocr_ray.pipelines.queries_ext import q_semantic_dedup
+
+    vecs = [[float(i == j) for j in range(4)] for i in range(4)] * 2
+    vecs.append([0.5, 0.5, 0.0, 0.0])
+    tbl = pa.table(
+        {
+            "vec_id": pa.array(list(range(8)) + [100003], pa.int64()),
+            "embedding": pa.array(vecs, pa.list_(pa.float32())),
+        }
+    )
+    pq_mod.write_table(tbl, str(tmp_path / "embeddings.parquet"))
+    with _pytest.raises(Exception, match="planted-copy id range"):
+        q_semantic_dedup(str(tmp_path)).to_pandas()

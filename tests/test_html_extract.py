@@ -195,3 +195,21 @@ def test_deeply_nested_html_is_error_row_not_crash():
     html = "<div>" * 4000 + "<p>deep</p>" + "</div>" * 4000
     row = extract(_page(html))
     assert row["status"] in ("ok", "error")  # never raises
+
+
+def test_find_all_deep_chain_preorder():
+    """find_all on a 5,000-deep chain: document preorder, no RecursionError."""
+    root = hx.Node("[document]")
+    node, chain = root, []
+    for i in range(5000):
+        child = hx.Node("div" if i % 2 else "span", {"i": i})
+        node.children.extend(["t", child])
+        chain.append(child)
+        node = child
+    assert [n.attrs["i"] for n in root.find_all(("div", "span"))] == list(range(5000))
+    assert [id(n) for n in root.find_all(("div",))] == [id(n) for n in chain if n.tag == "div"]
+
+
+def test_find_all_preorder_siblings_before_cousins():
+    root = hx.parse_html("<div><p>a<b>x</b></p><p>c</p></div><p>d</p>")
+    assert [n.get_text() for n in root.find_all(("p", "b"))] == ["a x", "x", "c", "d"]

@@ -223,3 +223,27 @@ def test_compact_aborts_on_corruption(ray_session, corpus, tmp_path_factory):
     assert stats["skipped"] >= 1
     # corrupted partition untouched (same file count)
     assert len(os.listdir(pdir)) == n_files["partition_id=0"]
+
+
+def test_compact_skips_missing_partition_dir(ray_session, corpus, tmp_path_factory):
+    """A committed partition whose directory is gone is skipped and
+    counted; every other partition is still compacted."""
+    import os
+    import shutil
+
+    out = str(tmp_path_factory.mktemp("extract_compact_gone"))
+    src = str(tmp_path_factory.mktemp("extract_compact_gone_src"))
+    step = corpus.num_rows // 6
+    for i in range(6):
+        pq.write_table(
+            corpus.slice(i * step, step if i < 5 else corpus.num_rows - 5 * step),
+            "{}/part-{}.parquet".format(src, i),
+        )
+    ex.run_extraction(src, out, n_partitions=4, batch_size=8)
+    shutil.rmtree(os.path.join(out, "partition_id=1"))
+    stats = ex.compact_partitions(out)
+    assert stats["skipped"] >= 1
+    assert stats["compacted"] + stats["skipped"] == 4
+    for pid in (0, 2, 3):
+        pdir = os.path.join(out, "partition_id={}".format(pid))
+        assert len([f for f in os.listdir(pdir) if f.endswith(".parquet")]) == 1

@@ -73,8 +73,8 @@ def test_string_key_partitioning(ray_session, tmp_path):
 
 def test_same_key_multiset_blocks_both_land(ray_session, tmp_path):
     """Two blocks writing the same partition with an IDENTICAL key multiset
-    and row count but DIFFERENT payloads must land as two files (the file
-    name now includes a full-content digest + task id, not just the key
+    and row count but DIFFERENT payloads must land as two files (file
+    names carry task id + attempt salt + per-task sequence, not the key
     sum) — the pre-fix name collided and silently dropped one block."""
     out = str(tmp_path / "o")
     t1 = pa.table({"k": pa.array(["s1"] * 4), "v": pa.array(range(4), pa.int64())})
@@ -215,3 +215,39 @@ def test_jsonl_and_csv_sink_roundtrip_with_resume(ray_session, tmp_path):
         )
         assert r2["skipped_partitions"] == 3
         assert writer.read_partitioned(out).num_rows == 200
+
+
+def test_block_fold_matches_python_loop():
+    """The uint64 np.add.reduceat fold equals the per-row Python loop it
+    replaced (sums of crc32s and of 64-bit digest prefixes, mod 2^64)."""
+    import random
+    import zlib
+
+    rng = random.Random(5)
+    urls = ["http://h%d/%d" % (rng.randrange(9), i) for i in range(300)]
+    digests = [
+        "" if rng.random() < 0.1 else "%064x" % rng.getrandbits(256) for _ in urls
+    ]
+    digests[:3] = ["f" * 64] * 3  # prefixes near 2^64: the sums must wrap
+    batch = pa.table({"url": urls, "digest": digests})
+    order, starts, partial = writer._sort_block(batch, "url", 7, "digest")
+    keys_only = writer.block_stats(batch, key="url", n_partitions=7)
+    assert keys_only.drop_columns(["digest_sum"]).equals(partial.drop_columns(["digest_sum"]))
+
+    want: dict = {}
+    for u, d in zip(urls, digests):
+        pid = zlib.crc32(u.encode("utf-8")) % 7
+        n, ks, ds = want.get(pid, (0, 0, 0))
+        want[pid] = (
+            n + 1,
+            (ks + zlib.crc32(u.encode("utf-8"))) & writer._U64,
+            (ds + int(d[:16], 16)) & writer._U64 if d else ds,
+        )
+    assert {
+        r["partition_id"]: (r["n_rows"], r["key_sum"], r["digest_sum"])
+        for r in partial.to_pylist()
+    } == want
+    # the sort is stable: each partition's rows keep their block order
+    pids = [zlib.crc32(u.encode("utf-8")) % 7 for u in urls]
+    assert [urls[i] for i in order] == [u for _, u in sorted(zip(pids, urls), key=lambda t: t[0])]
+    assert [pids[order[s]] for s in starts] == sorted(want)
