@@ -10,8 +10,9 @@
 Design notes for 100 TB (SURVEY §4):
 
 - the ``html`` binary column is read once, parsed once, and never crosses a
-  shuffle; the only wide op in the exploded variant is ``groupby('url')``
-  over *post-extraction* text rows (small relative to the input payloads).
+  shuffle; the only wide op in the exploded variant is the url-bucket
+  reassembly shuffle over *post-extraction* text rows (small relative to
+  the input payloads).
 - ``partition_id = crc32(url) % P`` breaks host-level clustering (hot hosts
   arrive contiguously in crawl order); P is the resume granule, sized so a
   partition ≈ a few GB at production scale.
@@ -31,6 +32,8 @@ Design notes for 100 TB (SURVEY §4):
 
 from __future__ import annotations
 
+import functools
+
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data
@@ -42,6 +45,7 @@ from ..stages.extract import (
     assemble_bucket,
     extract_batch,
 )
+from ..stages.groupagg import bucketed_map_groups
 from ..state import manifest as mf
 from . import writer as wr
 
@@ -108,26 +112,11 @@ def extract_pages(
         )
         # bucket the reassembly shuffle by url-hash: one map_groups call per
         # bucket instead of per url (per-group Python overhead dominates the
-        # shuffle otherwise); bucket count ~ 8x CPUs bounds group size
-        try:
-            import ray as _ray
-
-            n_buckets = 8 * max(4, int(_ray.cluster_resources().get("CPU", 4)))
-        except Exception:
-            n_buckets = 64
-
-        def add_bucket(batch: pa.Table) -> pa.Table:
-            b = wr.key_partition_ids(batch.column("url"), n_buckets)
-            return batch.append_column("url_bucket", pa.array(b, pa.int64()))
-
-        return (
-            blocks.map_batches(add_bucket, batch_format="pyarrow")
-            .groupby("url_bucket")
-            .map_groups(
-                assemble_bucket,
-                batch_format="pyarrow",
-                fn_kwargs={"footnote_mode": footnote_mode},
-            )
+        # shuffle otherwise)
+        return bucketed_map_groups(
+            blocks,
+            ["url"],
+            functools.partial(assemble_bucket, footnote_mode=footnote_mode),
         )
     raise ValueError(mode)
 

@@ -22,7 +22,8 @@ import ray.data
 from ray.data.aggregate import Min, Sum
 
 from ..sources.io import cpu_count, read_table, table_shuffle_blocks
-from ..stages.joins import _add_key_bucket, auto_join
+from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups
+from ..stages.joins import auto_join
 
 # paragraph contract shared with the SQL oracle: non-overlapping 10-word
 # windows of the space-split text (the testdata corpus has no newlines, so
@@ -118,13 +119,10 @@ def paragraph_dedup(docs: ray.data.Dataset, *, n_buckets: int = 64) -> ray.data.
     from ..stages.joins import semi_anti_join
 
     pars = docs.map_batches(_explode_paragraphs, batch_format="pyarrow")
-    winners = hash_group_min(pars.select_columns(["h1", "h2", "rank"]), "rank")
+    winners = bucketed_group_agg(
+        pars.select_columns(["h1", "h2", "rank"]), ["h1", "h2"], {"mr": ("min", "rank")}
+    )
     kept = semi_anti_join(pars, winners, on="rank", right_on="mr")
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(
-            df[["doc_id", "pidx", "par"]].copy(), key="doc_id", n_buckets=n_buckets
-        )
 
     def assemble(group: pa.Table) -> pa.Table:
         df = group.to_pandas().sort_values(["doc_id", "pidx"])
@@ -136,12 +134,12 @@ def paragraph_dedup(docs: ray.data.Dataset, *, n_buckets: int = 64) -> ray.data.
         out["n_kept"] = out["n_kept"].astype(np.int64)
         return pa.Table.from_pandas(out, preserve_index=False)
 
-    return (
-        kept.map_batches(bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(assemble, batch_format="pyarrow")
-        .select_columns(["doc_id", "text_dedup", "n_kept"])
-    )
+    return bucketed_map_groups(
+        kept.select_columns(["doc_id", "pidx", "par"]),
+        ["doc_id"],
+        assemble,
+        n_buckets=n_buckets,
+    ).select_columns(["doc_id", "text_dedup", "n_kept"])
 
 
 def q_paragraph_dedup(sf_dir: str):
@@ -215,7 +213,6 @@ def q_dedup_canonical(sf_dir: str):
     DATA-cardinality so the fold runs through the bucketed
     lexsort/reduceat kernel (r5)."""
     from ..stages import dedup
-    from ..stages.groupagg import bucketed_group_agg
 
     docs = read_table(
         sf_dir, "documents", columns=["doc_id", "text"], min_blocks=cpu_count()
@@ -305,7 +302,6 @@ def q_url_dedup(sf_dir: str):
     bucketed string-key kernel (r5: hash-bucketed shuffle, exact
     dictionary-code grouping) — no map_groups, no driver state."""
     from .. import synth
-    from ..stages.groupagg import bucketed_group_agg
 
     ds = read_table(sf_dir, "documents", columns=["doc_id"])
 
@@ -658,8 +654,6 @@ def q_tfidf_by_source(sf_dir: str):
 
     # (source, word) and word are VOCAB-cardinality keys: bucketed
     # string-key folds (r5), not the native per-group path
-    from ..stages.groupagg import bucketed_group_agg
-
     tf = bucketed_group_agg(
         ds.map_batches(explode, batch_format="pyarrow"),
         ["source", "word"],
@@ -745,7 +739,6 @@ def q_crawl_diff(sf_dir: str):
     stand-in for a content hash; at 100 TB you'd sum a 64-bit text
     digest the same way, keyed on a 128-bit url hash.)"""
     from ..sources.io import read_table as _rt
-    from ..stages.groupagg import bucketed_group_agg
 
     def snapshot(mod: int, tag: int):
         ds = _rt(sf_dir, "documents", columns=["doc_id", "n_chars"])
@@ -883,28 +876,6 @@ def _explode_window_hashes(batch: pa.Table, win: int = _WIN_WORDS) -> pa.Table:
     )
 
 
-def hash_group_count(ds: ray.data.Dataset, *, n_buckets: int = 256) -> ray.data.Dataset:
-    """COUNT per distinct (h1, h2) hash pair at HIGH key cardinality —
-    thin wrapper over :func:`ocr_ray.stages.groupagg.bucketed_group_agg`
-    (Ray's native aggregate pays ~30 us per GROUP; see that module)."""
-    from ..stages.groupagg import bucketed_group_agg
-
-    return bucketed_group_agg(
-        ds, ["h1", "h2"], {"c": ("count", None)}, n_buckets=n_buckets
-    )
-
-
-def hash_group_min(
-    ds: ray.data.Dataset, value: str, *, n_buckets: int = 256
-) -> ray.data.Dataset:
-    """MIN(value) per distinct (h1, h2) hash pair — same bucketed shape."""
-    from ..stages.groupagg import bucketed_group_agg
-
-    return bucketed_group_agg(
-        ds, ["h1", "h2"], {"mr": ("min", value)}, n_buckets=n_buckets
-    )
-
-
 def q_substring_dedup(sf_dir: str):
     """Exact duplicated-substring detection (the Lee-et-al dedup signal at
     window granularity): for every document with >= 10 words, count how
@@ -952,7 +923,9 @@ def q_substring_dedup(sf_dir: str):
                 "n_dup_windows": pa.array([], pa.int64()),
             }
         )
-    counts = hash_group_count(exploded.select_columns(["h1", "h2"])).materialize()
+    counts = bucketed_group_agg(
+        exploded.select_columns(["h1", "h2"]), ["h1", "h2"], {"c": ("count", None)}
+    ).materialize()
 
     def pack_key(batch: pa.Table) -> pa.Table:
         # single packed binary key ONLY for the join (index_in / Acero need
@@ -979,8 +952,6 @@ def q_substring_dedup(sf_dir: str):
     # doc_id is data-cardinality and the input is the window stream:
     # bucketed lexsort/reduceat aggregate instead of the native one
     # (per-input-row overhead, BASELINE.md #15)
-    from ..stages.groupagg import bucketed_group_agg
-
     return bucketed_group_agg(
         flagged,
         ["doc_id"],
@@ -1057,8 +1028,6 @@ def q_curation_neardup(sf_dir: str):
         )
 
     # cluster_id is data-cardinality: bucketed lexsort/reduceat fold (r5)
-    from ..stages.groupagg import bucketed_group_agg
-
     canon = bucketed_group_agg(
         joined.map_batches(pack, batch_format="pyarrow"),
         ["cluster_id"],
@@ -1398,8 +1367,6 @@ def q_inverted_index(sf_dir: str):
     not by data."""
     import pyarrow.compute as pc
 
-    from ..stages.groupagg import bucketed_group_agg
-
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def df_partial(batch: pa.Table) -> pa.Table:
@@ -1596,7 +1563,6 @@ def _rare_shingle_pairs_ds(sf_dir: str):
     bucketed lexsort/reduceat kernel.  Three bounded shuffles, zero
     driver state."""
     from ..stages.dedup import bucketed_group_apply
-    from ..stages.groupagg import bucketed_group_agg
 
     docs = read_table(
         sf_dir, "documents", columns=["doc_id", "text"], min_blocks=cpu_count()
@@ -1694,7 +1660,6 @@ def q_record_linkage(sf_dir: str):
     recursive reachability CTE — so the linkage output is oracle-checked
     end to end, like curation_neardup over the MinHash substrate."""
     from ..stages.dedup import connected_components, verify_pairs_against_corpus
-    from ..stages.groupagg import bucketed_group_agg
 
     pairs = _rare_shingle_pairs_ds(sf_dir)  # unsorted: no mid-pipeline sort
     docs = read_table(
@@ -1780,8 +1745,6 @@ def q_top_bigrams(sf_dir: str):
                 "n": pa.array(cnt.astype(np.int64), pa.int64()),
             }
         )
-
-    from ..stages.groupagg import bucketed_group_agg
 
     top = (
         # bigram keys are vocab^2-cardinality: bucketed string-key fold (r5)
@@ -1879,8 +1842,6 @@ def q_profile_table(sf_dir: str):
         return pa.table(
             {"col_name": pa.array(cols, pa.string()), "v": pa.array(vals, pa.string())}
         )
-
-    from ..stages.groupagg import bucketed_group_agg
 
     n_distinct = (
         # (col_name, v) is VALUE-cardinality: bucketed string-key fold

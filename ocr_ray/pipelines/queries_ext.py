@@ -308,7 +308,8 @@ def q_semantic_dedup(sf_dir: str):
     quantized to the int grid floor(v*100+0.5) (x100 — not the kmeans x1000
     grid — so the squared-cosine comparison 400*dot^2 >= 361*|u|^2*|v|^2
     stays inside int64 on the numpy side; the DuckDB side widens to
-    HUGEINT), centroids are the K lowest vec_ids (pushdown-filtered read),
+    HUGEINT), centroids are vec_ids 0..K-1 (the shared
+    ``_quantized_seed_centroids`` reader, which raises on a gap),
     argmin L2 ties break to the lowest cluster id, and zero vectors are
     never duplicates (cosine undefined -> kept).  Exact copies are PLANTED
     (vec_id+100000 for vec_id % 10 == 0) INSIDE map_batches — the planting
@@ -322,16 +323,9 @@ def q_semantic_dedup(sf_dir: str):
     with the corpus so one cluster fits one worker) is documented here,
     same bounded-group contract as the other map_groups stages."""
     from ..schema import list_column_matrix
+    from .queries_train import _quantized_seed_centroids
 
-    seed = pq.read_table(
-        os.path.join(sf_dir, "embeddings.parquet"),
-        columns=["vec_id", "embedding"],
-        filters=[("vec_id", "<", SEMDEDUP_K)],
-    ).sort_by("vec_id")
-    c = np.floor(
-        list_column_matrix(seed.column("embedding"), dtype="float64") * 100.0 + 0.5
-    ).astype(np.int64)
-    c_ref = ray.put(c)
+    c_ref = ray.put(_quantized_seed_centroids(sf_dir, SEMDEDUP_K, 100.0))
 
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
@@ -721,13 +715,9 @@ def q_events_sessionize(sf_dir: str):
     shape)."""
     import pandas as pd
 
-    from ..stages.joins import _add_key_bucket, _default_buckets
+    from ..stages.groupagg import bucketed_map_groups
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
-    n_buckets = _default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key="user_id", n_buckets=n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts"], kind="stable")
@@ -741,11 +731,7 @@ def q_events_sessionize(sf_dir: str):
         )
         return out
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, ["user_id"], per_bucket, batch_format="pandas")
 
 
 SQL_EVENTS_SESSIONIZE = (
@@ -1013,13 +999,9 @@ def q_events_lead_lag(sf_dir: str):
     deterministic."""
     import pandas as pd
 
-    from ..stages.joins import _add_key_bucket, _default_buckets
+    from ..stages.groupagg import bucketed_map_groups
 
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type"])
-    n_buckets = _default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key="user_id", n_buckets=n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -1041,11 +1023,7 @@ def q_events_lead_lag(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, ["user_id"], per_bucket, batch_format="pandas")
 
 
 SQL_EVENTS_LEAD_LAG = (

@@ -36,7 +36,7 @@ from ray.data.aggregate import Count, Sum
 
 from ..sources.io import read_table
 from ..stages.dedup import distinct_rows
-from ..stages.groupagg import bucketed_group_agg
+from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups
 from ..stages.joins import auto_join
 
 N_NODES = 97
@@ -87,7 +87,6 @@ def q_pagerank(sf_dir: str):
     free instead of a lineage re-execution)."""
     import pyarrow.compute as pc
 
-    from ..stages.groupagg import bucketed_group_agg
     from ..stages.joins import BROADCAST_BYTES
 
     edges = _edges(sf_dir)
@@ -307,8 +306,6 @@ def q_triangle_count(sf_dir: str):
     hits on power-law graphs); wedges from a bucketed groupby + one
     vectorized pair kernel per bucket, then EXISTS-filtered against the
     oriented edge set (size-planned semi join)."""
-    import pyarrow.compute as pc
-
     from ..stages.joins import BROADCAST_BYTES, _collect_small, semi_anti_join
 
     edges = distinct_rows(_tri_edges(sf_dir), ["lo", "hi"]).materialize()
@@ -384,20 +381,7 @@ def q_triangle_count(sf_dir: str):
             }
         )
 
-    bucketed = oriented.map_batches(
-        lambda t: t.append_column(
-            "__bucket",
-            pc.cast(
-                pc.bit_wise_and(
-                    pc.multiply_checked(t.column("a"), pa.scalar(2654435761, pa.int64())),
-                    pa.scalar((1 << 8) - 1, pa.int64()),
-                ),
-                pa.int64(),
-            ),
-        ),
-        batch_format="pyarrow",
-    )
-    wedge_ds = bucketed.groupby("__bucket").map_groups(wedges, batch_format="pandas")
+    wedge_ds = bucketed_map_groups(oriented, ["a"], wedges, batch_format="pandas")
 
     tri = semi_anti_join(
         wedge_ds, oriented.select_columns(["key"]), on="key"
@@ -494,8 +478,6 @@ def q_crawl_frontier(sf_dir: str):
         # O(hops^2) redundant crawl work without this
         frontier = distinct_rows(fresh, ["doc_id", "hops"]).materialize()
         levels.append(frontier)
-
-    from ..stages.groupagg import bucketed_group_agg
 
     all_rows = levels[0]
     for lv in levels[1:]:

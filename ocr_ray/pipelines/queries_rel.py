@@ -7,11 +7,13 @@ from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data
 from ray.data.aggregate import Count, Sum
 
 from ..sources.io import read_table
 from ..stages import joins
+from ..stages.groupagg import bucketed_map_groups
 
 # ---------------------------------------------------------------------------
 # both-sides-large hash join (Dataset.join, hash-partitioned)
@@ -24,8 +26,6 @@ def q_lineitem_order_join(sf_dir: str):
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def revenue(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
         rev = pc.multiply(
             batch.column("l_extendedprice"),
             pc.subtract(pa.scalar(1.0), batch.column("l_discount")),
@@ -224,7 +224,7 @@ def q_events_range_join(sf_dir: str):
     events with ts in (t, t + 5 min] — the attribution/window-join shape
     (SQL: a non-equi interval predicate on top of an equi key).
 
-    Scale shape: ONE groupby shuffle by user-hash bucket (joins._add_key_bucket
+    Scale shape: ONE user-hash bucket shuffle (groupagg.bucketed_map_groups
     — one Python call per bucket, never per user), then a fully vectorized
     in-task kernel: sort by (user, ts), make per-user segments disjoint by
     offsetting ts with segment_id x (range + horizon), and answer ALL
@@ -233,18 +233,10 @@ def q_events_range_join(sf_dir: str):
     import numpy as np
 
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    n_buckets = 64
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["ts_us"] = df["ts"].astype("int64")
-        return joins._add_key_bucket(
-            df[["event_id", "user_id", "ts_us"]], key="user_id", n_buckets=n_buckets
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        ts = group.column("ts_us").to_numpy(zero_copy_only=False).astype(np.int64)
+        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
         eid = group.column("event_id").to_numpy(zero_copy_only=False).astype(np.int64)
         eid_sorted, n_follow = range_join_kernel(uid, ts, eid, _FOLLOW_US)
         return pa.table(
@@ -254,12 +246,7 @@ def q_events_range_join(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-        .select_columns(["event_id", "n_follow"])
-    )
+    return bucketed_map_groups(ds, ["user_id"], per_bucket)
 
 
 SQL_EVENTS_RANGE_JOIN = (
@@ -327,19 +314,10 @@ def q_events_funnel(sf_dir: str):
     import numpy as np
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_type"])
-    n_buckets = 64
-
-    def bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["ts_us"] = df["ts"].astype("int64")
-        return joins._add_key_bucket(
-            df[["user_id", "ts_us", "event_type"]], key="user_id",
-            n_buckets=n_buckets,
-        )
 
     def per_bucket(group: pa.Table) -> pa.Table:
         uid = group.column("user_id").to_numpy(zero_copy_only=False).astype("int64")
-        ts = group.column("ts_us").to_numpy(zero_copy_only=False).astype("int64")
+        ts = pc.cast(group.column("ts"), pa.int64()).to_numpy(zero_copy_only=False)
         et = np.asarray(group.column("event_type").to_pylist(), dtype=object)
         users = np.unique(uid)
         # per-user reach time of the previous step (start: -inf)
@@ -365,11 +343,7 @@ def q_events_funnel(sf_dir: str):
             }
         )
 
-    partials = (
-        ds.map_batches(bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    partials = bucketed_map_groups(ds, ["user_id"], per_bucket)
     return (
         partials.groupby("step")
         .aggregate(Sum("n_users", alias_name="n_users"))

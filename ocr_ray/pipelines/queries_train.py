@@ -42,6 +42,7 @@ import pyarrow.compute as pc
 from ray.data.aggregate import Sum
 
 from ..sources.io import read_table
+from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups
 
 #: Fixed training-block capacity (tokens) for training_pack.
 PACK_BLOCK = 512
@@ -280,13 +281,7 @@ def q_events_moving_win(sf_dir: str):
     multiplies segment index by the bucket's ts span; if that product
     could exceed int64 the kernel falls back to per-segment searchsorted —
     same output, no silent wraparound."""
-    from ..stages.joins import _add_key_bucket, _default_buckets
-
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts", "value"])
-    n_buckets = _default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key="user_id", n_buckets=n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -308,11 +303,7 @@ def q_events_moving_win(sf_dir: str):
             }
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, ["user_id"], per_bucket, batch_format="pandas")
 
 
 SQL_EVENTS_MOVING_WIN = (
@@ -604,7 +595,6 @@ def q_bloom_semi_join(sf_dir: str):
     # norm pins any schema-less empty blocks; note Ray's to_pandas() on a
     # fully-empty Dataset still drops the schema (upstream quirk — an
     # empty result is 0 rows with no recoverable column set)
-    from ..stages.groupagg import bucketed_group_agg
 
     # l_orderkey is ORDER-cardinality: bucketed fold (r5)
     return bucketed_group_agg(
@@ -619,11 +609,16 @@ SQL_BLOOM_SEMI_JOIN = (
 )
 
 
-def _quantized_seed_centroids(sf_dir: str, k: int) -> np.ndarray:
-    """The ONE quantization rule (floor(v*1000+0.5) int grid) and centroid
-    seeding (the k lowest vec_ids, pushdown-filtered read) shared by
-    kmeans_assign and pq_encode — this rule is the exactness contract with
-    both SQL oracles, so it must not fork."""
+def _quantized_seed_centroids(sf_dir: str, k: int, scale: float) -> np.ndarray:
+    """The ONE quantization rule (floor(v*scale+0.5) int grid) and centroid
+    seeding (the embeddings of vec_id 0..k-1, pushdown-filtered read)
+    shared by kmeans_assign, kmeans_train, pq_encode (scale 1000) and
+    semantic_dedup (scale 100) — this rule is the exactness contract with
+    their SQL oracles (``WHERE vec_id < k``), so it must not fork.
+
+    Raises ValueError unless every vec_id in 0..k-1 exists exactly once:
+    with a gap the oracle seeds fewer centroids and the cluster ids no
+    longer line up."""
     import pyarrow.parquet as pq
 
     from ..schema import list_column_matrix
@@ -633,9 +628,32 @@ def _quantized_seed_centroids(sf_dir: str, k: int) -> np.ndarray:
         columns=["vec_id", "embedding"],
         filters=[("vec_id", "<", k)],
     ).sort_by("vec_id")
+    ids = seed.column("vec_id").to_pylist()
+    if ids != list(range(k)):
+        raise ValueError(
+            f"centroid seeding needs vec_id 0..{k - 1} exactly once each; "
+            f"read {ids[:12]}{' ...' if len(ids) > 12 else ''}"
+        )
     return np.floor(
-        list_column_matrix(seed.column("embedding"), dtype="float64") * 1000.0 + 0.5
+        list_column_matrix(seed.column("embedding"), dtype="float64") * scale + 0.5
     ).astype(np.int64)
+
+
+def _mean_floor(s: int, n: int) -> int:
+    """Centroid update ``floor(1.0 * sum(val) / count(*))`` exactly as the
+    DuckDB oracle evaluates it: ``1.0 * sum`` is DECIMAL(38,1), i.e. the
+    int128 ``10 * s``; DuckDB casts that to double as ``lower + upper *
+    (2^64 - 1)`` over its two 64-bit halves (``-(2^64 - 1 - lower) - 1``
+    when ``upper == -1``), then divides by 10.0 and by the count.  Every
+    step is exact while ``|10 * s| < 2^53``; past that each one rounds,
+    and neither Python's exact ``s / n`` nor ``float(s) / n`` agrees."""
+    x, m = 10 * s, (1 << 64) - 1
+    upper, lower = x >> 64, x & m
+    if upper == -1:
+        d = -float(m - lower) - 1.0
+    else:
+        d = float(lower) + float(upper) * float(m)
+    return int(np.floor(d / 10.0 / n))
 
 
 #: kmeans_assign: number of clusters (centroids = embeddings of vec_id 0..K-1).
@@ -647,7 +665,7 @@ def q_kmeans_assign(sf_dir: str):
     the assignment step every IVF/clustering pipeline runs at scale, made
     oracle-checkable by quantizing to a fixed int grid (floor(v*1000+0.5),
     identical arithmetic in numpy and DuckDB) and seeding centroids from
-    the table itself (the K lowest vec_ids).  Map-side batched int64
+    the table itself (vec_ids 0..K-1).  Map-side batched int64
     distance expansion (||x||^2 - 2 x.c + ||c||^2, one matmul per batch)
     against the broadcast centroid matrix; argmin ties break to the lowest
     cluster id on both sides.  Complements stages/similarity.kmeans_fit
@@ -656,7 +674,7 @@ def q_kmeans_assign(sf_dir: str):
 
     from ..schema import list_column_matrix
 
-    c_ref = ray.put(_quantized_seed_centroids(sf_dir, KMEANS_K))
+    c_ref = ray.put(_quantized_seed_centroids(sf_dir, KMEANS_K, 1000.0))
 
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 
@@ -707,8 +725,9 @@ def q_kmeans_train(sf_dir: str):
     bucketing, complementing q_kmeans_assign (one assignment pass) with
     the full iterative fit.  Integer-exact contract: points quantize to
     the shared int grid (floor(v*1000+0.5), `_quantized_seed_centroids`
-    rule), centroid updates are floor(1.0*sum/count) — identical IEEE
-    float64 divide+floor in numpy and DuckDB — and assignment ties break
+    rule), centroid updates are floor(1.0*sum/count) computed the way
+    DuckDB rounds it (`_mean_floor`; exact big-int division differs once
+    the sum passes 2^53) — and assignment ties break
     to the lowest cluster id on both sides, so KMEANS_TRAIN_ITERS unrolled
     CTE iterations reproduce the engine bit-for-bit.  Empty clusters carry
     their previous centroid (coalesce in SQL, copy-on-write here).
@@ -730,7 +749,7 @@ def q_kmeans_train(sf_dir: str):
     from ..schema import list_column_matrix
 
     k, d = KMEANS_K, KMEANS_DIM
-    c = _quantized_seed_centroids(sf_dir, k)
+    c = _quantized_seed_centroids(sf_dir, k, 1000.0)
 
     ds = read_table(sf_dir, "embeddings", columns=["embedding"])
 
@@ -790,7 +809,7 @@ def q_kmeans_train(sf_dir: str):
         for r in rows:
             j, dd_, n = int(r["cluster"]), int(r["dim"]), int(r["n"])
             if n > 0:
-                new_c[j, dd_] = int(np.floor(r["s"] / n))
+                new_c[j, dd_] = _mean_floor(r["s"], n)
                 n_members[j] = n
         c = new_c
 
@@ -1119,8 +1138,6 @@ def q_adaboost_stumps(sf_dir: str):
     import ray
     import ray.data as _rd
 
-    from ..stages.groupagg import bucketed_group_agg
-
     ds = read_table(sf_dir, "documents", columns=["n_chars", "lang"])
 
     stumps: list[int] = []  # thresholds of the rounds fitted so far
@@ -1320,8 +1337,6 @@ def q_zorder_layout(sf_dir: str):
         )
         return pa.Table.from_pandas(g, preserve_index=False)
 
-    from ..stages.groupagg import bucketed_group_agg
-
     # file_id is OUTPUT-FILE-cardinality (rows / file size): bucketed fold (r5)
     return bucketed_group_agg(
         ranked.map_batches(add_file, batch_format="pandas"),
@@ -1426,8 +1441,6 @@ def q_link_graph(sf_dir: str):
                     dsts.append(int(href[6:]))
         return pa.table({"dst": pa.array(dsts, pa.int64())})
 
-    from ..stages.groupagg import bucketed_group_agg
-
     # dst is NODE-cardinality: bucketed fold (r5)
     return bucketed_group_agg(
         ds.map_batches(edges, batch_format="pyarrow"),
@@ -1451,15 +1464,9 @@ def q_events_ffill(sf_dir: str):
     shuffle, then a single vectorized kernel per bucket (masked index
     maximum-accumulate with per-segment floor — no per-key Python, no
     per-row scan)."""
-    from ..stages.joins import _add_key_bucket, _default_buckets
-
     ds = read_table(
         sf_dir, "events", columns=["event_id", "user_id", "ts", "event_type", "value"]
     )
-    n_buckets = _default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key="user_id", n_buckets=n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["user_id", "ts", "event_id"], kind="stable")
@@ -1481,11 +1488,7 @@ def q_events_ffill(sf_dir: str):
             {"event_id": g["event_id"].to_numpy(), "filled_value": filled}
         )
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, ["user_id"], per_bucket, batch_format="pandas")
 
 
 SQL_EVENTS_FFILL = (
@@ -1547,7 +1550,6 @@ def _to_blocks(ds: ray.data.Dataset) -> ray.data.Dataset:
     capstone (q_pages_to_blocks)."""
     import hashlib
 
-    from ..stages.groupagg import bucketed_group_agg
     from ..stages.joins import bucketed_prefix_sum
     from .queries_cc import _EMBED_DIM, _embed_hash_batch
 
@@ -1721,8 +1723,6 @@ def q_bm25_search(sf_dir: str):
             ),
         )
 
-    from ..stages.groupagg import bucketed_group_agg
-
     stats = bucketed_group_agg(
         # token is VOCAB-cardinality: bucketed string-key fold (r5)
         ds.map_batches(df_partial, batch_format="pyarrow"),
@@ -1861,7 +1861,6 @@ def q_window_distinct_users(sf_dir: str):
     from ray.data.aggregate import Count as _Count
 
     from ..sources.io import cpu_count
-    from ..stages.groupagg import bucketed_group_agg
 
     ds = read_table(
         sf_dir, "events", columns=["ts", "user_id"], min_blocks=cpu_count()
@@ -1930,7 +1929,7 @@ def q_pq_encode(sf_dir: str):
     compression step billion-scale ANN runs so the index fits in RAM
     (64 float32 dims -> 8 codebook codes here).  Same exactness trick as
     kmeans_assign: quantize to an int grid (floor(v*1000+0.5)), seed each
-    subspace's codebook from the K lowest vec_ids, assign by int64
+    subspace's codebook from vec_ids 0..K-1, assign by int64
     distance expansion per subspace (8 small matmuls per batch against
     broadcast codebooks), ties to the lowest code.  Output is the full
     code table (vec_id, c0..c7) — integer-exact, oracle-checked."""
@@ -1938,7 +1937,7 @@ def q_pq_encode(sf_dir: str):
 
     from ..schema import list_column_matrix
 
-    c_ref = ray.put(_quantized_seed_centroids(sf_dir, PQ_K))
+    c_ref = ray.put(_quantized_seed_centroids(sf_dir, PQ_K, 1000.0))
 
     ds = read_table(sf_dir, "embeddings", columns=["vec_id", "embedding"])
 

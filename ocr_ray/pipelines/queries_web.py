@@ -34,7 +34,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.io import read_table
-from ..stages.joins import _add_key_bucket, _default_buckets
+from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups
 from ..synth import EPOCH_US, URL_SQL, link_page_html, wrap_documents_batch
 
 DAY_US = 86_400_000_000
@@ -63,8 +63,6 @@ def q_host_stats(sf_dir: str):
         n_chars = pc.cast(pc.utf8_length(batch.column("text")), pa.int64())
         ts_us = pc.cast(batch.column("warc_ts"), pa.int64())
         return pa.table({"host": host, "n_chars": n_chars, "ts_us": ts_us})
-
-    from ..stages.groupagg import bucketed_group_agg
 
     # host is HOST-cardinality (millions at web scale): bucketed fold (r5)
     return bucketed_group_agg(
@@ -110,10 +108,8 @@ def q_pages_scd(sf_dir: str):
     per-row Python), ONE url-hash bucket shuffle, then a per-bucket
     lexsort + shift kernel that closes each version with its successor's
     timestamp.  The kernel never loops per key; at 10^12 urls the bucket
-    count rides ``_default_buckets`` and each task stays one vectorized
-    call."""
+    count rides the CPU count and each task stays one vectorized call."""
     docs = read_table(sf_dir, "documents", columns=["doc_id"])
-    n_buckets = _default_buckets()
 
     def versions(batch: pa.Table) -> pa.Table:
         from ..synth import page_url
@@ -132,9 +128,6 @@ def q_pages_scd(sf_dir: str):
                 "valid_from": pa.array(ts, pa.int64()),
             }
         )
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key="url", n_buckets=n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         order = np.lexsort((g["valid_from"].to_numpy(), g["url"].to_numpy()))
@@ -158,11 +151,11 @@ def q_pages_scd(sf_dir: str):
             }
         )
 
-    return (
-        docs.map_batches(versions, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    return bucketed_map_groups(
+        docs.map_batches(versions, batch_format="pyarrow"),
+        ["url"],
+        per_bucket,
+        batch_format="pandas",
     )
 
 
@@ -214,8 +207,6 @@ def q_reciprocal_links(sf_dir: str):
                 "dirn": pa.array((s < t).astype(np.int64)),
             }
         )
-
-    from ..stages.groupagg import bucketed_group_agg
 
     # (lo, hi) is EDGE-cardinality: bucketed fold (r5)
     agg = bucketed_group_agg(
@@ -295,8 +286,6 @@ def q_edit1_matches(sf_dir: str):
         split = pc.split_pattern(batch.column("text"), " ").combine_chunks()
         enc = split.flatten().dictionary_encode()
         return pa.table({"w": enc.dictionary})
-
-    from ..stages.groupagg import bucketed_group_agg
 
     vocab_df = bucketed_group_agg(
         # w is VOCAB-cardinality: bucketed string-key fold (r5)
@@ -423,12 +412,6 @@ def q_lang_ntile(sf_dir: str):
     shared = ray.put((base, totals))
 
     docs = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-    n_buckets = _default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["__pair"] = df["lang"].astype(str) + "\x1f" + df["n_chars"].astype(str)
-        return _add_key_bucket(df, key="__pair", n_buckets=n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         bse, tot = ray.get(shared)
@@ -461,10 +444,8 @@ def q_lang_ntile(sf_dir: str):
         ) + 1
         return pd.DataFrame({"doc_id": did, "lang": lang, "tile": tile})
 
-    return (
-        docs.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
+    return bucketed_map_groups(
+        docs, ["lang", "n_chars"], per_bucket, batch_format="pandas"
     )
 
 
@@ -589,8 +570,6 @@ def q_decayed_value(sf_dir: str):
             }
         )
 
-    from ..stages.groupagg import bucketed_group_agg
-
     # user_id is USER-cardinality: bucketed fold over map-side partials (r5)
     return bucketed_group_agg(
         ds.map_batches(partial, batch_format="pyarrow"),
@@ -694,8 +673,6 @@ def q_anchor_stats(sf_dir: str):
                 "chars": pa.array(chars, pa.int64()),
             }
         )
-
-    from ..stages.groupagg import bucketed_group_agg
 
     # dst is PAGE-cardinality: bucketed fold (r5)
     return bucketed_group_agg(
@@ -905,7 +882,6 @@ def q_item_cooccurrence(sf_dir: str):
     users); the explode is quadratic per user by definition of the
     operator."""
     ds = read_table(sf_dir, "events", columns=["user_id", "props"])
-    n_buckets = _default_buckets()
     PACK = 1_048_576  # item < 2^20 by contract
 
     def distinct_pairs(batch: pa.Table) -> pa.Table:
@@ -918,9 +894,6 @@ def q_item_cooccurrence(sf_dir: str):
                 "item": pa.array(packed % PACK, pa.int64()),
             }
         )
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key="user_id", n_buckets=n_buckets)
 
     def pairs(g: pa.Table) -> pa.Table:
         uid0 = g.column("user_id").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -957,16 +930,11 @@ def q_item_cooccurrence(sf_dir: str):
             }
         )
 
-    from ..stages.groupagg import bucketed_group_agg
-
-    pair_partials = (
-        ds.map_batches(distinct_pairs, batch_format="pyarrow")
-        .map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        # pyarrow format end-to-end: a pandas-format map_groups would
-        # coerce the output blocks back to pandas and the downstream
-        # wide op hits the ~20x slow path (BASELINE.md #11)
-        .map_groups(pairs, batch_format="pyarrow")
+    # pyarrow format end-to-end: a pandas-format map_groups would coerce
+    # the output blocks back to pandas and the downstream wide op hits the
+    # ~20x slow path (BASELINE.md #11)
+    pair_partials = bucketed_map_groups(
+        ds.map_batches(distinct_pairs, batch_format="pyarrow"), ["user_id"], pairs
     )
     # pair keys are data-cardinality (quadratic in catalog size at web
     # scale): Ray's native aggregate pays ~us-per-row/group overhead
@@ -1008,10 +976,6 @@ def q_event_transitions(sf_dir: str):
     per-bucket kernel is a lexsort + shift (consecutive rows of the same
     user form a transition) with zero per-user Python."""
     ds = read_table(sf_dir, "events", columns=["user_id", "ts", "event_id", "event_type"])
-    n_buckets = _default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key="user_id", n_buckets=n_buckets)
 
     def transitions(g: pa.Table) -> pa.Table:
         order = np.lexsort(
@@ -1048,12 +1012,10 @@ def q_event_transitions(sf_dir: str):
             }
         )
 
+    # pyarrow end-to-end: pandas-format output would put pandas blocks
+    # into the native Aggregate (slow path, BASELINE.md #11)
     return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        # pyarrow end-to-end: pandas-format output would put pandas
-        # blocks into the native Aggregate (slow path, BASELINE.md #11)
-        .map_groups(transitions, batch_format="pyarrow")
+        bucketed_map_groups(ds, ["user_id"], transitions)
         .groupby(["src_type", "dst_type"])
         .aggregate(Sum("n", alias_name="n"))
     )
@@ -1093,7 +1055,6 @@ def q_cohort_retention(sf_dir: str):
     broadcast while provably small, hash-partitioned join beyond) and one
     final native aggregate over the BOUNDED (cohort week x offset) grid.
     No driver state proportional to users anywhere."""
-    from ..stages.groupagg import bucketed_group_agg
     from ..stages.joins import auto_join
 
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
@@ -1289,7 +1250,6 @@ def q_customer_order_full(sf_dir: str):
     distinct custkey, not one per order.  Reference analog: the
     prediction-map reconciliation in `models/detection/base_detector.py:
     171-186` (entries on either side of the on-disk map survive)."""
-    from ..stages.groupagg import bucketed_group_agg
     from ..stages.joins import auto_join
 
     stats = bucketed_group_agg(
@@ -1415,8 +1375,6 @@ def q_events_resample(sf_dir: str):
     zero Python per user).  Grid mass is bounded by each user's own time
     span; a pathological span would inflate only its own bucket, and the
     docstringed contract (dense grid per key) makes that cost explicit."""
-    n_buckets = _default_buckets()
-
     ds = read_table(sf_dir, "events", columns=["user_id", "ts"])
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -1436,20 +1394,14 @@ def q_events_resample(sf_dir: str):
                 "user_id": pa.array(u[:, 0], pa.int64()),
                 "hr": pa.array(u[:, 1], pa.int64()),
                 "n": pa.array(counts.astype(np.int64), pa.int64()),
-                "__bucket": pa.array(
-                    (u[:, 0].astype(np.uint64) * 0x9E3779B97F4A7C15 >> 32).astype(
-                        np.int64
-                    )
-                    % n_buckets,
-                    pa.int64(),
-                ),
             }
         )
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(_resample_bucket, batch_format="pandas")
+    return bucketed_map_groups(
+        ds.map_batches(partial, batch_format="pyarrow"),
+        ["user_id"],
+        _resample_bucket,
+        batch_format="pandas",
     )
 
 

@@ -400,7 +400,6 @@ def verify_pairs_against_corpus(
     threshold: float,
     id_col: str = "doc_id",
     text_col: str = "text",
-    n_buckets: int = 64,
     metric=None,
     metric_col: str = "jaccard",
     pre_shuffle_blocks: int | None = None,
@@ -417,46 +416,31 @@ def verify_pairs_against_corpus(
     1. explode each pair to two ``(a, b, side, doc_id)`` rows,
     2. hash-join the rows back against ``docs`` on ``doc_id`` (both sides
        large; left_outer so a missing doc_id surfaces as a null text),
-    3. regroup by an integer-hash pair-bucket (one ``map_groups`` call per
-       BUCKET, not per pair — per-key calls were measured 10x slower on
-       the extraction path), pair rows via ONE lexsort + strided reshape,
+    3. regroup by a hash bucket of ``(a, b)``
+       (:func:`~ocr_ray.stages.groupagg.bucketed_map_groups`: one call per
+       BUCKET, not per pair), pair rows via ONE lexsort + strided reshape,
        and score each pair inside the task.
 
     Raises inside the verify task if any candidate doc_id has no value in
     ``docs`` (silently treating it as "" would score every such pair 1.0).
     """
+    from ..sources.io import cpu_count
+    from .groupagg import bucketed_map_groups
     from .joins import hash_join
 
     if metric is None:
         metric = jaccard
 
     def explode(batch: pa.Table) -> pa.Table:
-        a = batch.column("a")
-        b = batch.column("b")
+        a = batch.column("a").combine_chunks()
+        b = batch.column("b").combine_chunks()
         n = len(a)
-        if pa.types.is_integer(a.type) and pa.types.is_integer(b.type):
-            av = a.to_numpy(zero_copy_only=False).astype(np.uint64)
-            bv = b.to_numpy(zero_copy_only=False).astype(np.uint64)
-            bk = (
-                (av * np.uint64(2654435761) + bv * np.uint64(40503))
-                % np.uint64(n_buckets)
-            ).astype(np.int64)
-        else:  # non-integer ids: crc over the stringified pair (cold path)
-            bk = np.array(
-                [
-                    zlib.crc32(f"{x},{y}".encode()) % n_buckets
-                    for x, y in zip(a.to_pylist(), b.to_pylist())
-                ],
-                dtype=np.int64,
-            )
-        buckets = pa.array(np.concatenate([bk, bk]), pa.int64())
         return pa.table(
             {
-                "a": pa.concat_arrays([a.combine_chunks(), a.combine_chunks()]),
-                "b": pa.concat_arrays([b.combine_chunks(), b.combine_chunks()]),
+                "a": pa.concat_arrays([a, a]),
+                "b": pa.concat_arrays([b, b]),
                 "side": pa.array([0] * n + [1] * n, pa.int32()),
-                id_col: pa.concat_arrays([a.combine_chunks(), b.combine_chunks()]),
-                "pair_bucket": buckets,
+                id_col: pa.concat_arrays([a, b]),
             }
         )
 
@@ -555,14 +539,15 @@ def verify_pairs_against_corpus(
     # not the bucket count: the broadcast-fetch path inherits the corpus's
     # (often tiny) block count, which serialized the whole verify into one
     # task — split to ~CPU blocks so every core scores a slice of buckets
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    n_blocks = max(pre_shuffle_blocks or 1, min(n_buckets, cpus))
-    joined = joined.repartition(n_blocks, shuffle=False)
-    return (
-        joined.groupby("pair_bucket")
-        .map_groups(verify_bucket, batch_format="pyarrow")
-        .map_batches(norm, batch_format="pyarrow")
-    )
+    n_buckets = 64
+    n_blocks = max(pre_shuffle_blocks or 1, min(n_buckets, cpu_count()))
+    return bucketed_map_groups(
+        joined,
+        ["a", "b"],
+        verify_bucket,
+        n_buckets=n_buckets,
+        pre_shuffle_blocks=n_blocks,
+    ).map_batches(norm, batch_format="pyarrow")
 
 
 def bucketed_group_apply(
@@ -571,16 +556,15 @@ def bucketed_group_apply(
     fn,
     *,
     empty_result: pa.Table,
-    n_buckets: int | None = None,
     min_group_size: int = 1,
     pre_shuffle_blocks: int | None = None,
 ) -> ray.data.Dataset:
     """``groupby(keys).map_groups(fn)`` semantics at ONE Python task call
-    per hash BUCKET of keys instead of one per key group — the
-    _add_key_bucket lesson (joins.py:190) applied to the LSH candidate
-    stages, whose group count is corpus-proportional (docs x bands): the
-    shuffle moves the same rows, but the number of Python invocations
-    drops from O(#groups) to O(n_buckets).
+    per hash BUCKET of keys instead of one per key group
+    (:func:`~ocr_ray.stages.groupagg.bucketed_map_groups`) for the LSH
+    candidate stages, whose group count is corpus-proportional (docs x
+    bands): the shuffle moves the same rows, but the number of Python
+    invocations drops from O(#groups) to O(#buckets).
 
     ``keys`` must be integer columns.  Inside a bucket task the rows are
     sorted by ``keys`` once, group boundaries found vectorized, and ``fn``
@@ -588,24 +572,13 @@ def bucketed_group_apply(
     generators pass 2 — singleton buckets, the vast majority under LSH,
     never reach Python at all).  ``empty_result`` pins the output schema
     for buckets that yield nothing (schema-less empty blocks break
-    downstream joins)."""
-    if n_buckets is None:
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        n_buckets = 8 * max(4, cpus)
-    keys = list(keys)
-    prime = np.uint64(1099511628211)
+    downstream joins).  ``pre_shuffle_blocks`` coalesces (no shuffle)
+    when the caller sized the data as small (see sized_num_blocks)."""
+    from .groupagg import bucketed_map_groups
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        h = np.zeros(batch.num_rows, dtype=np.uint64)
-        for k in keys:
-            col = batch.column(k).to_numpy(zero_copy_only=False).astype(np.uint64)
-            h = h * prime + col
-        return batch.append_column(
-            "__bucket", pa.array((h % np.uint64(n_buckets)).astype(np.int64))
-        )
+    keys = list(keys)
 
     def apply_bucket(group: pa.Table) -> pa.Table:
-        group = group.drop_columns(["__bucket"])
         n = group.num_rows
         if n == 0:
             return empty_result
@@ -627,14 +600,8 @@ def bucketed_group_apply(
             return empty_result
         return pa.concat_tables(outs)
 
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow")
-    if pre_shuffle_blocks:
-        # fixed per-input-block all-to-all cost: coalesce (no shuffle)
-        # when the caller sized the data as small (see sized_num_blocks)
-        bucketed = bucketed.repartition(pre_shuffle_blocks, shuffle=False)
-    return (
-        bucketed.groupby("__bucket")
-        .map_groups(apply_bucket, batch_format="pyarrow")
+    return bucketed_map_groups(
+        ds, keys, apply_bucket, pre_shuffle_blocks=pre_shuffle_blocks
     )
 
 

@@ -194,8 +194,9 @@ def assemble_group(group: pa.Table, *, footnote_mode: str = "keep") -> pa.Table:
 
 
 def assemble_bucket(group: pa.Table, *, footnote_mode: str = "keep") -> pa.Table:
-    """``groupby('url_bucket').map_groups`` fn: ALL urls of one hash bucket
-    assembled in one pass (runs over rows sorted by (url, order)).
+    """Per-bucket fn of the exploded-mode reassembly shuffle
+    (``groupagg.bucketed_map_groups`` on ``url``): ALL urls of one hash
+    bucket assembled in one pass (runs over rows sorted by (url, order)).
 
     One Python call per url (600k map_groups invocations for 600k docs) is
     ~10x slower than the shuffle itself; bucketing by url-hash turns that

@@ -1,4 +1,5 @@
-"""Bucketed vectorized group-aggregate for HIGH-CARDINALITY integer keys.
+"""The keyed-bucket shuffle (:func:`bucketed_map_groups`) and the bucketed
+vectorized group-aggregate built on it for HIGH-CARDINALITY keys.
 
 Ray's native ``groupby().aggregate()`` pays a per-GROUP overhead (~30 us
 per group measured on this box: a 225k-row count over 215k distinct keys
@@ -22,15 +23,76 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-_KNUTH = np.uint64(2654435761)
+#: multiplier that folds a multi-key row into one uint64 lane (FNV prime)
+_FOLD = np.uint64(0x100000001B3)
 
 
-def _bucket_of(col: np.ndarray, n_buckets: int) -> np.ndarray:
-    """Multiplicative hash bucket — required for LOW-entropy keys (dense
-    ids); harmless for hash lanes."""
-    return ((col.astype(np.uint64, copy=False) * _KNUTH) % np.uint64(n_buckets)).astype(
-        np.int64
-    )
+def bucket_ids(table: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
+    """Hash-bucket id in ``[0, n_buckets)`` per row of ``table`` from the
+    values of ``keys`` alone (never the batch split or chunk layout).
+
+    Vectorized, no per-row Python: integer keys are taken as uint64 (two's
+    complement for negatives; nulls as 0), string keys through
+    :func:`~ocr_ray.functions.strhash.hash_strings_u64` (nulls hash like
+    ``''``).  Multi-key lanes fold as ``h * FNV_PRIME + lane``, and the
+    fold is mixed once with splitmix64 so dense ids spread evenly."""
+    from ..functions.strhash import SEED_A, _splitmix64, hash_strings_u64
+
+    h = np.zeros(table.num_rows, dtype=np.uint64)
+    for k in keys:
+        col = table.column(k)
+        t = col.type
+        if pa.types.is_string(t) or pa.types.is_large_string(t):
+            lane = hash_strings_u64(pc.fill_null(col, ""), SEED_A)
+        elif pa.types.is_integer(t):
+            lane = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
+            lane = lane.astype(np.int64).view(np.uint64)
+        else:
+            raise TypeError(f"bucket key {k!r} must be integer or string, not {t}")
+        h = h * _FOLD + lane
+    return (_splitmix64(h) % np.uint64(n_buckets)).astype(np.int64)
+
+
+def bucketed_map_groups(
+    ds: ray.data.Dataset,
+    keys: list[str],
+    fn,
+    *,
+    batch_format: str = "pyarrow",
+    n_buckets: int | None = None,
+    pre_shuffle_blocks: int | None = None,
+) -> ray.data.Dataset:
+    """THE keyed-bucket shuffle: every row of one key value lands in one
+    bucket, and ``fn`` runs once per BUCKET (never once per key) on all of
+    that bucket's rows in ``batch_format`` — ``fn`` groups by exact key
+    equality itself, so the bucket choice cannot change a result.
+
+    One pyarrow map appends ``__bucket`` (:func:`bucket_ids`), an optional
+    ``repartition(pre_shuffle_blocks, shuffle=False)`` coalesces small
+    inputs (the all-to-all pays a fixed cost per input block), then one
+    ``groupby("__bucket").map_groups``; ``fn`` never sees ``__bucket``.
+    Per-key calls were measured ~10x slower than the shuffle itself.
+    ``n_buckets`` defaults to 8 per CPU (at least 32)."""
+    from ..sources.io import cpu_count
+
+    n = n_buckets or 8 * max(4, cpu_count())
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.append_column(
+            "__bucket", pa.array(bucket_ids(batch, keys, n), pa.int64())
+        )
+
+    if batch_format == "pandas":
+        def call(group):
+            return fn(group.drop(columns=["__bucket"]))
+    else:
+        def call(group):
+            return fn(group.drop_columns(["__bucket"]))
+
+    bucketed = ds.map_batches(tag, batch_format="pyarrow")
+    if pre_shuffle_blocks:
+        bucketed = bucketed.repartition(pre_shuffle_blocks, shuffle=False)
+    return bucketed.groupby("__bucket").map_groups(call, batch_format=batch_format)
 
 
 def bucketed_group_agg(
@@ -62,20 +124,6 @@ def bucketed_group_agg(
             raise ValueError(f"unsupported op {op!r} for {out!r}")
         if (src is None) != (op == "count"):
             raise ValueError(f"{out!r}: src_col must be None iff op is count")
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        col = batch.column(keys[0])
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        if pa.types.is_string(col.type) or pa.types.is_large_string(col.type):
-            from ..functions.strhash import SEED_A, hash_strings_u64
-
-            k0 = hash_strings_u64(pc.fill_null(col, ""), SEED_A)
-        else:
-            k0 = col.to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__bucket", pa.array(_bucket_of(k0, n_buckets), pa.int64())
-        )
 
     def key_lane(tbl: pa.Table, name: str):
         """(int64 sort lane, dictionary-or-None) for a key column: equal
@@ -157,11 +205,7 @@ def bucketed_group_agg(
                 out[name] = pa.array(v.astype(np.int64), pa.int64())
         return pa.table(out)
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow")
-        .groupby("__bucket")
-        .map_groups(kernel, batch_format="pyarrow")
-    )
+    return bucketed_map_groups(ds, keys, kernel, n_buckets=n_buckets)
 
 
 def tree_merge_partials(
@@ -193,7 +237,7 @@ def tree_merge_partials(
 
     l1 = parts.map_batches(merge_batch, batch_format="pyarrow", batch_size=None)
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def content_bucket(batch: pa.Table) -> pa.Table:
         bks = [
             zlib.crc32(pickle.dumps(batch.slice(i, 1).to_pydict())) % n_buckets
             for i in range(batch.num_rows)
@@ -204,7 +248,7 @@ def tree_merge_partials(
         return merge_batch(group.drop_columns(["__b"]))
 
     merged = (
-        l1.map_batches(add_bucket, batch_format="pyarrow")
+        l1.map_batches(content_bucket, batch_format="pyarrow")
         .groupby("__b")
         .map_groups(fold, batch_format="pyarrow")
     )

@@ -6,12 +6,14 @@ these are the standard shapes a data-processing engine owes its users:
 - :func:`hash_join` — both-sides-large equi-join via ``Dataset.join``
   (hash-partitioned on the key; ``num_partitions`` is the shuffle fan-out).
 - :func:`asof_join` — sort-merge as-of: tag + union both sides, ONE
-  ``groupby(key-bucket)`` shuffle, one vectorized ``pd.merge_asof(by=key)``
-  per bucket (ray_guide 'As-of / range join' pattern).  Partitioning
-  assumption: one bucket's rows fit in a group task; salt hot keys
-  upstream if not.
-- :func:`running_window` — per-key ordered cumulative aggregates via
-  ``groupby(key).map_groups`` (sort inside the group, never globally).
+  key-bucket shuffle (``groupagg.bucketed_map_groups``), one vectorized
+  ``pd.merge_asof(by=key)`` per bucket (ray_guide 'As-of / range join'
+  pattern).  Partitioning assumption: one bucket's rows fit in a group
+  task; salt hot keys upstream if not.
+- :func:`running_window` — per-key ordered cumulative aggregates over the
+  same key-bucket shuffle (sort inside the bucket, never globally).
+- :func:`bucketed_prefix_sum` — global running total over ordered RANGE
+  buckets (not hashed: the offsets need bucket order).
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import pandas as pd
 import ray
 import ray.data
+
+from .groupagg import bucketed_map_groups
 
 # Target bytes per join partition: small enough that a partition's build side
 # fits a worker heap, large enough that task overhead stays negligible.
@@ -305,30 +309,6 @@ def semi_anti_join(
     return joined.map_batches(keep, batch_format="pyarrow")
 
 
-def _default_buckets() -> int:
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    return 8 * max(4, cpus)
-
-
-def _add_key_bucket(df: pd.DataFrame, *, key: str, n_buckets: int) -> pd.DataFrame:
-    """crc32-style key bucket so the wide shuffle groups by BUCKET, not by
-    key: one map_groups call per bucket (the assemble_bucket lesson —
-    per-key Python calls were measured 10x slower than the shuffle)."""
-    import zlib
-
-    import numpy as np
-
-    col = df[key]
-    if col.dtype.kind in "iu":
-        b = (col.to_numpy().astype(np.uint64) * np.uint64(2654435761)) % n_buckets
-        df["__bucket"] = b.astype(np.int64)
-    else:
-        df["__bucket"] = [
-            zlib.crc32(str(v).encode("utf-8")) % n_buckets for v in col
-        ]
-    return df
-
-
 def asof_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -350,7 +330,6 @@ def asof_join(
     materialized on the driver, and pandas is invoked once per bucket with
     every key handled inside the single sort-merge pass.
     """
-    n_buckets = _default_buckets()
     # arrow types of the keep columns, so right rows ship NULLS (validity
     # bitmap only) instead of filled constants across the shuffle
     lschema = left.schema()
@@ -363,7 +342,7 @@ def asof_join(
         out["__side"] = "L"
         for c in left_keep:
             out[c] = df[c].astype(pd.ArrowDtype(keep_types[c]))
-        return _add_key_bucket(out, key="key", n_buckets=n_buckets)
+        return out
 
     def tag_right(df: pd.DataFrame) -> pd.DataFrame:
         out = pd.DataFrame({"key": df[right_key].to_numpy(), "ts": df[right_ts].to_numpy()})
@@ -372,7 +351,7 @@ def asof_join(
             out[c] = pd.Series(
                 [None] * len(out), dtype=pd.ArrowDtype(keep_types[c]), index=out.index
             )
-        return _add_key_bucket(out, key="key", n_buckets=n_buckets)
+        return out
 
     both = left.map_batches(tag_left, batch_format="pandas").union(
         right.map_batches(tag_right, batch_format="pandas")
@@ -386,7 +365,7 @@ def asof_join(
         if not len(l):
             # dtype-preserving empty frame (object-dtype empties would break
             # cross-block schema unification)
-            empty = group.drop(columns=["__side", "__bucket"]).iloc[0:0].copy()
+            empty = group.drop(columns=["__side"]).iloc[0:0].copy()
             empty[out_col] = pd.Series([], dtype=group["ts"].dtype)
             return empty
         r = group[group["__side"] == "R"].sort_values("ts", kind="stable")
@@ -398,9 +377,9 @@ def asof_join(
             }
         )
         out = pd.merge_asof(l, rr, on="ts", by="key", direction="backward")
-        return out.drop(columns=["__side", "__bucket"])
+        return out.drop(columns=["__side"])
 
-    return both.groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucketed_map_groups(both, ["key"], per_bucket, batch_format="pandas")
 
 
 def running_window(
@@ -415,21 +394,13 @@ def running_window(
     by the full order_by tuple so the result is deterministic).  Shuffles
     by key bucket; inside each bucket one vectorized pandas
     sort + groupby(key).cumsum covers every key at once."""
-    n_buckets = _default_buckets()
-
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        return _add_key_bucket(df, key=key, n_buckets=n_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([key] + order_by, kind="stable")
         g[out_col] = g.groupby(key, sort=False)[value].cumsum().round(2)
-        return g.drop(columns=["__bucket"])
+        return g
 
-    return (
-        ds.map_batches(add_bucket, batch_format="pandas")
-        .groupby("__bucket")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return bucketed_map_groups(ds, [key], per_bucket, batch_format="pandas")
 
 
 def bucketed_prefix_sum(
@@ -452,7 +423,7 @@ def bucketed_prefix_sum(
 
     import pyarrow as pa
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
+    def range_bucket(batch: pa.Table) -> pa.Table:
         # emit ARROW blocks: the downstream native aggregate was measured
         # ~18 s/task on the same rows as pandas blocks vs ~1 s as Arrow
         b = (
@@ -466,7 +437,7 @@ def bucketed_prefix_sum(
     # the scan's own contract: callers project to the slim (key, value)
     # columns before calling, so what lands in the object store is ints,
     # not the corpus — and re-reading 100 TB twice is the real cost.
-    bucketed = ds.map_batches(add_bucket, batch_format="pyarrow").materialize()
+    bucketed = ds.map_batches(range_bucket, batch_format="pyarrow").materialize()
 
     from ray.data.aggregate import Sum
 

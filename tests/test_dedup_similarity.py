@@ -413,6 +413,27 @@ def test_semantic_dedup_hand_built(ray_session, tmp_path):
                    8: 0, 10: 0, 11: 0}
 
 
+def test_semantic_dedup_rejects_sparse_seed_ids(ray_session, tmp_path):
+    """Centroids are vec_ids 0..K-1; a missing low id (3 here) must fail
+    loudly, not seed from fewer rows than the oracle's cluster ids."""
+    import pyarrow.parquet as pq_mod
+    import pytest as _pytest
+
+    from ocr_ray.pipelines.queries_ext import q_semantic_dedup
+
+    ids = [0, 1, 2, 4, 5, 6, 7, 8, 9, 10]
+    vecs = [[float(i % 4 == j) for j in range(4)] for i in ids]
+    tbl = pa.table(
+        {
+            "vec_id": pa.array(ids, pa.int64()),
+            "embedding": pa.array(vecs, pa.list_(pa.float32())),
+        }
+    )
+    pq_mod.write_table(tbl, str(tmp_path / "embeddings.parquet"))
+    with _pytest.raises(ValueError, match=r"vec_id 0\.\.7"):
+        q_semantic_dedup(str(tmp_path))
+
+
 def test_rare_shingle_pairs_df_cap_bounds_hot_shingle(ray_session, tmp_path):
     """A shingle shared by MANY docs (df above the cap) must emit ZERO
     pairs — the blocking rule's skew bound; a shingle with df in window

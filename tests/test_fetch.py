@@ -90,3 +90,52 @@ def test_fetch_pages_dataset_roundtrip(ray_session, tmp_path):
     )
     assert (out["status"] == "ok").all()
     assert len(out) == 20
+
+
+def test_urllib_transport_over_loopback_http(tmp_path):
+    """UrllibTransport against a real socket: a stdlib HTTP server on
+    127.0.0.1 (no external network) serves exact bytes, sees the
+    transport's User-Agent, and a 404 through Fetcher becomes an error
+    row after every attempt."""
+    import threading
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    body = "<html><body>café 中</body></html>".encode() + bytes(range(256))
+    seen = []
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_GET(self):
+            seen.append((self.path, self.headers.get("User-Agent")))
+            if self.path == "/page":
+                self.send_response(200)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+            else:
+                self.send_error(404)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        base = "http://127.0.0.1:%d" % server.server_address[1]
+        transport = F.UrllibTransport(timeout=5.0, user_agent="ocr-ray-test/1")
+        assert transport.get(base + "/page", 1) == body
+        assert seen == [("/page", "ocr-ray-test/1")]
+
+        fetcher = F.Fetcher(
+            str(tmp_path / "s"), str(tmp_path / "c"), max_attempts=3, transport=transport
+        )
+        out = fetcher(pa.table({"url": [base + "/page", base + "/missing"]}))
+        assert out.column("status").to_pylist() == ["ok", "error"]
+        assert out.column("n_attempts").to_pylist() == [1, 3]
+        assert out.column("html").to_pylist() == [body, b""]
+        assert [p for p, _ in seen].count("/missing") == 3
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+    assert not thread.is_alive()

@@ -1,7 +1,10 @@
 """Scale-behavior properties: host-skew balance, exploded-mode resume,
-oversized-page caps, partition determinism."""
+oversized-page caps, partition determinism, the keyed-bucket shuffle."""
 
+import hypothesis
 import numpy as np
+import pytest
+from hypothesis import strategies as st
 
 from ocr_ray import synth
 from ocr_ray.pipelines import extraction as ex
@@ -260,20 +263,21 @@ def test_bucketed_group_agg_single_key(ray_session):
             "v": pa.array([10, 5, 7, 9, 6, 1], pa.int64()),
         }
     )
-    out = (
-        bucketed_group_agg(
-            ray.data.from_arrow(t).repartition(3),
-            ["k"],
-            {"c": ("count", None), "s": ("sum", "v")},
-            n_buckets=4,
+    for n_buckets in (1, 4):  # one bucket holds every key; 4 > #keys
+        out = (
+            bucketed_group_agg(
+                ray.data.from_arrow(t).repartition(3),
+                ["k"],
+                {"c": ("count", None), "s": ("sum", "v")},
+                n_buckets=n_buckets,
+            )
+            .to_pandas()
+            .sort_values("k")
+            .reset_index(drop=True)
         )
-        .to_pandas()
-        .sort_values("k")
-        .reset_index(drop=True)
-    )
-    assert out["k"].tolist() == [1, 2, 3]
-    assert out["c"].tolist() == [2, 1, 3]
-    assert out["s"].tolist() == [11, 9, 18]
+        assert out["k"].tolist() == [1, 2, 3]
+        assert out["c"].tolist() == [2, 1, 3]
+        assert out["s"].tolist() == [11, 9, 18]
 
 
 def test_bucketed_group_agg_string_key(ray_session):
@@ -411,3 +415,121 @@ def test_tree_merge_partials_empty_input(ray_session):
         return t  # nothing to fold
 
     assert tree_merge_partials(ds, merge_regs) == []
+
+
+_KEY_ROWS = st.lists(
+    st.tuples(
+        st.integers(-(2**63), 2**63 - 1),
+        st.one_of(st.none(), st.text(max_size=12)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@hypothesis.given(_KEY_ROWS, st.integers(1, 300))
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_bucket_ids_depend_only_on_key_values(rows, n_buckets):
+    """A row's bucket is a function of its key values alone: the same ids
+    for the whole table, any batch split, and a many-chunk column; equal
+    keys share a bucket; every id lies in [0, n_buckets).  Covers int
+    (negative and extreme), string (non-ASCII, empty, null) and mixed
+    int x string two-key lanes."""
+    import pyarrow as pa
+
+    from ocr_ray.stages.groupagg import bucket_ids
+
+    ints = [r[0] for r in rows]
+    strs = [r[1] for r in rows]
+    t = pa.table(
+        {
+            "i": pa.array(ints, pa.int64()),
+            "s": pa.array(strs, pa.string()),
+            "other": pa.array(range(len(rows)), pa.int64()),
+        }
+    )
+    cut = len(rows) // 2
+    chunked = pa.table(
+        {
+            "i": pa.chunked_array([ints[:cut], ints[cut:]], pa.int64()),
+            "s": pa.chunked_array([strs[:1], strs[1:]], pa.string()),
+        }
+    )
+    for keys in (["i"], ["s"], ["i", "s"], ["s", "i"]):
+        whole = bucket_ids(t, keys, n_buckets)
+        assert whole.dtype == np.int64 and len(whole) == len(rows)
+        assert ((whole >= 0) & (whole < n_buckets)).all()
+        split = np.concatenate(
+            [bucket_ids(t.slice(0, cut), keys, n_buckets),
+             bucket_ids(t.slice(cut), keys, n_buckets)]
+        )
+        assert (split == whole).all()
+        assert (bucket_ids(chunked, keys, n_buckets) == whole).all()
+        # without the unrelated column, and row by row
+        assert (bucket_ids(t.select(keys), keys, n_buckets) == whole).all()
+        one = [int(bucket_ids(t.slice(j, 1), keys, n_buckets)[0]) for j in range(len(rows))]
+        assert one == whole.tolist()
+        seen = {}
+        for key, b in zip(zip(*(t[k].to_pylist() for k in keys)), whole.tolist()):
+            # a null string key buckets like ''
+            key = tuple("" if v is None else v for v in key)
+            assert seen.setdefault(key, b) == b
+
+
+def test_bucket_ids_int_widths_and_spread():
+    """int32 and int64 columns holding the same values bucket alike, and
+    dense ids (the worst case for a bare modulus of a structured hash)
+    spread over every bucket."""
+    import pyarrow as pa
+
+    from ocr_ray.stages.groupagg import bucket_ids
+
+    vals = list(range(-500, 500))
+    a = bucket_ids(pa.table({"k": pa.array(vals, pa.int32())}), ["k"], 32)
+    b = bucket_ids(pa.table({"k": pa.array(vals, pa.int64())}), ["k"], 32)
+    assert (a == b).all()
+    counts = np.bincount(a, minlength=32)
+    assert counts.min() > 0.5 * len(vals) / 32
+    assert counts.max() < 2.0 * len(vals) / 32
+
+
+@pytest.mark.parametrize("batch_format", ["pyarrow", "pandas"])
+@pytest.mark.parametrize("key_type", ["int", "string"])
+@pytest.mark.parametrize("n_buckets", [1, 64])
+def test_bucketed_map_groups_matches_groupby(ray_session, batch_format, key_type, n_buckets):
+    """bucketed_map_groups(fn) == groupby(key).map_groups(fn) as a sorted
+    row set whenever fn groups by exact key equality itself — with every
+    key in one bucket (n_buckets=1) and with more buckets than keys; fn
+    never sees the ``__bucket`` column."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    from ocr_ray.stages.groupagg import bucketed_map_groups
+
+    rng = np.random.default_rng(3)
+    n = 600
+    if key_type == "int":
+        k = pa.array(rng.integers(-20, 20, n), pa.int64())
+    else:
+        words = np.array(["", "a", "b", "é中", "long key " * 3, "z"])
+        k = pa.array(words[rng.integers(0, len(words), n)], pa.string())
+    t = pa.table({"k": k, "v": pa.array(rng.integers(-100, 100, n), pa.int64())})
+    ds = ray.data.from_arrow(t).repartition(5)
+
+    def per_key(g):
+        df = g if isinstance(g, pd.DataFrame) else g.to_pandas()
+        assert list(df.columns) == ["k", "v"]
+        out = df.groupby("k", sort=True).agg(c=("v", "size"), s=("v", "sum")).reset_index()
+        return out if batch_format == "pandas" else pa.Table.from_pandas(out, preserve_index=False)
+
+    def rows(d):
+        df = d.to_pandas()
+        return sorted(zip(df["k"].tolist(), df["c"].tolist(), df["s"].tolist()))
+
+    got = rows(
+        bucketed_map_groups(ds, ["k"], per_key, batch_format=batch_format, n_buckets=n_buckets)
+    )
+    want = rows(ds.groupby("k").map_groups(per_key, batch_format=batch_format))
+    assert got == want
+    assert sum(c for _, c, _ in got) == n

@@ -111,3 +111,85 @@ def test_registry_oracle_coverage():
     stale = ROWS_ONLY_BY_DESIGN & set(ORACLE_SQL)
     assert not stale, "rows-only entries that now HAVE oracles: %s" % sorted(stale)
     assert ROWS_ONLY_BY_DESIGN <= set(QUERIES)
+
+
+#: the only hash/range-bucket shuffles and per-row crc32 loops allowed
+#: outside ``groupagg.bucketed_map_groups``, keyed (file, top-level def)
+#: with None for a whole file
+BUCKET_GUARD_ALLOW = {
+    ("stages/joins.py", "bucketed_prefix_sum"): "range buckets, which must stay ordered",
+    ("stages/groupagg.py", "tree_merge_partials"): "buckets one partial per block, not data rows",
+    ("pipelines/writer.py", None): "persisted partition layout (a versioned migration)",
+    ("state/manifest.py", None): "persisted url partition layout (a versioned migration)",
+}
+
+
+def _bucket_guard_findings(rel: str, tree) -> list:
+    import ast
+
+    comps = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+
+    def visit(node, top, in_comp):
+        for child in ast.iter_child_nodes(node):
+            where = top
+            if top is None and isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                where = child.name
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name == "_add_key_bucket" or getattr(child, "name", None) == "_add_key_bucket":
+                found.append((where, child.lineno, "_add_key_bucket"))
+            if isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute):
+                f = child.func
+                key = child.args[0] if child.args else None
+                if (
+                    f.attr == "groupby"
+                    and isinstance(key, ast.Constant)
+                    and "bucket" in str(key.value)
+                    and rel != "stages/groupagg.py"
+                ):
+                    found.append((where, child.lineno, f'groupby("{key.value}")'))
+                if (
+                    f.attr == "crc32"
+                    and isinstance(f.value, ast.Name)
+                    and f.value.id == "zlib"
+                    and in_comp
+                ):
+                    found.append((where, child.lineno, "zlib.crc32 per row"))
+            visit(child, where, in_comp or isinstance(child, comps))
+
+    visit(tree, None, False)
+    return found
+
+
+def test_one_keyed_bucket_shuffle():
+    """Every hash-bucket ``groupby().map_groups()`` goes through
+    ``stages/groupagg.bucketed_map_groups``: no ``_add_key_bucket``, no
+    ``groupby("...bucket...")`` and no per-row ``zlib.crc32`` comprehension
+    elsewhere in ``ocr_ray/``, except the allow-listed, reasoned sites."""
+    import ast
+    import pathlib
+
+    import ocr_ray
+
+    root = pathlib.Path(ocr_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        for where, line, what in _bucket_guard_findings(rel, ast.parse(path.read_text())):
+            if (rel, where) not in BUCKET_GUARD_ALLOW and (rel, None) not in BUCKET_GUARD_ALLOW:
+                bad.append(f"{rel}:{line} ({where}): {what}")
+    assert not bad, "hand-rolled bucket shuffles:\n" + "\n".join(bad)
+
+
+def test_bucket_guard_catches_hand_rolled_copies():
+    """The guard above flags each pattern it exists for."""
+    import ast
+
+    src = (
+        "def q(ds, n):\n"
+        "    b = [zlib.crc32(str(v).encode()) % n for v in ds]\n"
+        "    ds = joins._add_key_bucket(ds, key='k', n_buckets=n)\n"
+        "    return ds.groupby('__bucket').map_groups(f)\n"
+    )
+    found = {what for _, _, what in _bucket_guard_findings("pipelines/queries_x.py", ast.parse(src))}
+    assert found == {"_add_key_bucket", 'groupby("__bucket")', "zlib.crc32 per row"}

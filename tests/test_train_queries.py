@@ -772,3 +772,72 @@ def test_adaboost_stumps_matches_brute_force(ray_session):
                  .itertuples(index=False, name=None)))
         == expect
     )
+
+
+def test_kmeans_centroid_update_rounds_sum_like_oracle():
+    """The k-means update matches the oracle's floor(1.0 * sum / count)
+    bit for bit, also past 2^53 where every rounding step shows.  Witness:
+    s = 889579385049398832, n = 66 gives ...498 by exact big-int division
+    and ...496 in DuckDB; float(s) / n alone still misses other sums."""
+    import duckdb
+
+    from ocr_ray.pipelines.queries_train import _mean_floor
+
+    s, n = 889579385049398832, 66
+    assert int(np.floor(s / n)) == 13478475531051498
+    assert _mean_floor(s, n) == 13478475531051496
+    rng = np.random.default_rng(17)
+    cases = [(s, n), (-s, n), (0, 3), (-1, 2), (2**63 - 1, 3), (-(2**63), 7)]
+    for lim in (2**62, 2**40, 10**6):
+        cases += zip(
+            rng.integers(-lim, lim, 300).tolist(), rng.integers(1, 100, 300).tolist()
+        )
+    con = duckdb.connect()
+    con.execute("CREATE TABLE t (id INTEGER, v BIGINT, c BIGINT)")
+    con.executemany(
+        "INSERT INTO t VALUES (?, ?, ?)", [(i, v, c) for i, (v, c) in enumerate(cases)]
+    )
+    # a one-row sum(v) is v as HUGEINT, the oracle's sum type
+    want = con.execute(
+        "SELECT CAST(floor(1.0 * sum(v) / min(c)) AS BIGINT) FROM t GROUP BY id ORDER BY id"
+    ).fetchall()
+    assert [_mean_floor(v, c) for v, c in cases] == [w for (w,) in want]
+
+
+def _write_embeddings(path, vec_ids, dim):
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    rng = np.random.default_rng(5)
+    pq.write_table(
+        pa.table(
+            {
+                "vec_id": pa.array(vec_ids, pa.int64()),
+                "embedding": pa.array(
+                    rng.uniform(-1, 1, (len(vec_ids), dim)).tolist(), pa.list_(pa.float32())
+                ),
+            }
+        ),
+        str(path / "embeddings.parquet"),
+    )
+
+
+def test_seed_centroids_reject_sparse_low_ids(ray_session, tmp_path):
+    """Centroids are the embeddings of vec_id 0..K-1.  With a gap there
+    (ids 0-2 and 4-20 here), the seed read must fail loudly instead of
+    seeding from the wrong rows (or crashing kmeans_train later)."""
+    import pytest
+
+    from ocr_ray.pipelines import queries_train as qt
+
+    _write_embeddings(tmp_path, [0, 1, 2] + list(range(4, 21)), qt.KMEANS_DIM)
+    with pytest.raises(ValueError, match=r"vec_id 0\.\.7"):
+        qt._quantized_seed_centroids(str(tmp_path), qt.KMEANS_K, 1000.0)
+    with pytest.raises(ValueError, match=r"vec_id 0\.\.7"):
+        qt.q_kmeans_train(str(tmp_path))
+
+    dense = tmp_path / "dense"
+    dense.mkdir()
+    _write_embeddings(dense, list(range(20)), qt.KMEANS_DIM)
+    c = qt._quantized_seed_centroids(str(dense), qt.KMEANS_K, 1000.0)
+    assert c.shape == (qt.KMEANS_K, qt.KMEANS_DIM)
