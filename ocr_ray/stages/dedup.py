@@ -10,9 +10,12 @@ follow the same Ray shape:
       -> flat band/bucket rows        # explode: one row per (band, hash)
       -> groupby(bucket)              # THE shuffle: only sketch rows move,
                                       #   never the documents themselves
-      -> candidate pairs              # per-group pair enumeration
+      -> candidate pairs              # per-BUCKET pair kernel (MinHash:
+                                      #   triu gathers per group-size class,
+                                      #   per-group Python only over budget)
       -> verify                       # exact metric on the small candidate
-                                      #   set (broadcast text lookup here;
+                                      #   set, one batch call per bucket
+                                      #   (broadcast text lookup here;
                                       #   at 10^12 docs: hash-join back)
 
 Correctness gate: the driver queries run these over the ``documents`` table
@@ -195,13 +198,41 @@ def round_half_away(x: float, digits: int = 6) -> float:
 
 
 def jaccard(text_a: str, text_b: str, n: int = 3) -> float:
-    """Exact word-n-gram Jaccard (the verify metric)."""
+    """Exact word-n-gram Jaccard of one pair (the reference for
+    :func:`jaccard_batch`)."""
     a, b = set(_shingle_hashes(text_a, n).tolist()), set(_shingle_hashes(text_b, n).tolist())
     if not a and not b:
         return 1.0
     if not a or not b:
         return 0.0
     return len(a & b) / len(a | b)
+
+
+def jaccard_batch(v0, v1, n: int = 3) -> np.ndarray:
+    """float64[len] exact word-n-gram Jaccard of ``(v0[k], v1[k])`` for a
+    whole batch of pairs (the verify metric), bit-identical to
+    :func:`jaccard`: one :func:`shingle_hash_segments` call over
+    ``v0 ++ v1``, then ONE lexsort by (pair, hash, side).  Adjacent equal
+    (pair, hash, side) rows are a shingle repeated within a text (set
+    semantics: dropped); after that, adjacent equal (pair, hash) rows are
+    one element of |A∩B|, and |A∪B| = |A| + |B| − |A∩B|.  The counts are
+    int64, exact in float64, and IEEE division is correctly rounded, as is
+    Python's int / int; both texts empty gives 1.0, one empty gives 0.0."""
+    m = len(v0)
+    H, offs = shingle_hash_segments(pa.chunked_array([v0, v1]), n)
+    seg = np.repeat(np.arange(2 * m, dtype=np.int64), np.diff(offs))
+    pair, side = seg % max(m, 1), seg // max(m, 1)
+    order = np.lexsort((side, H, pair))
+    pair, side, H = pair[order], side[order], H[order]
+    same = (pair[1:] == pair[:-1]) & (H[1:] == H[:-1])
+    keep = np.ones(pair.size, bool)
+    keep[1:] = ~same | (side[1:] != side[:-1])
+    pair, side, H = pair[keep], side[keep], H[keep]
+    size = np.bincount(side * m + pair, minlength=2 * m)
+    both = (pair[1:] == pair[:-1]) & (H[1:] == H[:-1])
+    inter = np.bincount(pair[1:][both], minlength=m)
+    union = size[:m] + size[m:] - inter
+    return np.where(union > 0, inter / np.maximum(union, 1), 1.0)
 
 
 _SHIFTS = np.arange(64, dtype=np.uint64)
@@ -289,13 +320,21 @@ def minhash_band_rows(batch: pa.Table) -> pa.Table:
     )
 
 
+#: per-bucket candidate budgets of the MinHash LSH stage: pairs per
+#: within-signature clique or cross product, and distinct signatures
+_MAX_GROUP_PRODUCT = 256
+_MAX_DISTINCT_PER_BUCKET = 256
+
+
 def _pairs_from_groups(
     group: pa.Table,
-    max_distinct_per_bucket: int = 256,
-    max_group_product: int = 256,
+    max_distinct_per_bucket: int = _MAX_DISTINCT_PER_BUCKET,
+    max_group_product: int = _MAX_GROUP_PRODUCT,
 ) -> pa.Table:
-    """bucket group -> candidate (a, b) pairs, a < b, with BOUNDED per-task
-    work (the simhash/embedding skew fix, ported here with exact-below-cap
+    """one LSH group -> candidate (a, b) pairs, a <= b, with BOUNDED work:
+    the over-budget fallback of :func:`_minhash_bucket_pairs`, which sends
+    here only groups too large for its vectorized all-pairs path (the
+    simhash/embedding skew fix, ported here with exact-below-cap
     semantics).  Docs are grouped by their full 64-perm signature hash:
 
     - WITHIN a signature group: the full clique while it fits the
@@ -351,6 +390,62 @@ def _pairs_from_groups(
     return pa.table({"a": pa.array(a_out, pa.int64()), "b": pa.array(b_out, pa.int64())})
 
 
+def _minhash_bucket_pairs(bucket: pa.Table) -> pa.Table:
+    """one bucket of LSH band rows -> the candidate pairs of every
+    ``(band_id, band_hash)`` group in it, vectorized: ONE lexsort by
+    ``(band_id, band_hash, doc_id, sig_hash)``, duplicate rows dropped,
+    group boundaries from adjacent differences.  A group of n distinct
+    rows with n(n-1)/2 <= ``_MAX_GROUP_PRODUCT`` (n <= 23 at 256) emits
+    every row pair as ``(min id, max id)`` — one ``np.triu_indices(n, 1)``
+    gather per size class, never a Python call per group.  Larger groups
+    go to :func:`_pairs_from_groups`, the skew bound.
+
+    Same output as :func:`_pairs_from_groups` on every group: at such n,
+    every within-signature clique of k <= n rows has k(k-1)/2 <= n(n-1)/2
+    pairs, every cross product of signature groups A, B has |A||B| <=
+    floor(n^2/4) <= n(n-1)/2 pairs (|A| + |B| <= n, n >= 2), and there are
+    at most n <= ``_MAX_DISTINCT_PER_BUCKET`` signature groups, so no
+    budget or cap binds and it emits each unordered row pair exactly once
+    (within a signature group, or across two), ordered ``(min, max)``."""
+    if bucket.num_rows == 0:
+        return _EMPTY_PAIRS
+    names = ("band_id", "band_hash", "doc_id", "sig_hash")
+    cols = [bucket.column(c).to_numpy(zero_copy_only=False).astype(np.int64)
+            for c in names]
+    order = np.lexsort(cols[::-1])
+    band, bh, doc, sig = (c[order] for c in cols)
+    new = np.ones(doc.size, bool)
+    new[1:] = ((band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
+               | (doc[1:] != doc[:-1]) | (sig[1:] != sig[:-1]))
+    band, bh, doc, sig = band[new], bh[new], doc[new], sig[new]
+    start = np.ones(doc.size, bool)
+    start[1:] = (band[1:] != band[:-1]) | (bh[1:] != bh[:-1])
+    starts = np.flatnonzero(start)
+    sizes = np.diff(np.append(starts, doc.size))
+    fits = (sizes * (sizes - 1) // 2 <= _MAX_GROUP_PRODUCT) & (
+        sizes <= _MAX_DISTINCT_PER_BUCKET
+    )
+    a_out, b_out = [np.zeros(0, np.int64)], [np.zeros(0, np.int64)]
+    for k in np.unique(sizes[fits & (sizes >= 2)]):
+        s = starts[sizes == k][:, None]
+        # rows are doc-sorted within a group, so i < j gives a <= b
+        iu, ju = np.triu_indices(k, 1)
+        a_out.append(doc[s + iu].ravel())
+        b_out.append(doc[s + ju].ravel())
+    for s, k in zip(starts[~fits], sizes[~fits]):
+        g = _pairs_from_groups(
+            pa.table({"doc_id": doc[s : s + k], "sig_hash": sig[s : s + k]})
+        )
+        a_out.append(g.column("a").to_numpy())
+        b_out.append(g.column("b").to_numpy())
+    return pa.table(
+        {
+            "a": pa.array(np.concatenate(a_out), pa.int64()),
+            "b": pa.array(np.concatenate(b_out), pa.int64()),
+        }
+    )
+
+
 def distinct_rows(
     ds: ray.data.Dataset, cols, min_cols=(), *, pre_shuffle_blocks: int | None = None
 ) -> ray.data.Dataset:
@@ -400,18 +495,17 @@ def verify_pairs_against_corpus(
     threshold: float,
     id_col: str = "doc_id",
     text_col: str = "text",
-    metric=None,
     metric_col: str = "jaccard",
     pre_shuffle_blocks: int | None = None,
-    batch_metric=None,
+    batch_metric=jaccard_batch,
 ) -> ray.data.Dataset:
     """Distributed exact-metric verify of candidate ``(a, b)`` pairs —
     the 10^12-doc shape: the corpus is NEVER materialized on the driver.
-    ``metric(val_a, val_b) -> float`` defaults to word-3gram Jaccard over
-    ``text_col``; pass a cosine kernel + an embedding column for vectors.
-    ``batch_metric(vals_a, vals_b) -> np.ndarray`` (two equal-length Arrow
-    arrays) replaces the per-pair ``metric`` loop with one vectorized call
-    per bucket when provided.
+    ``batch_metric(vals_a, vals_b) -> float64[len]`` scores two
+    equal-length Arrow arrays in one vectorized call per bucket; it
+    defaults to word-3gram Jaccard over ``text_col``
+    (:func:`jaccard_batch`); pass a cosine kernel + an embedding column
+    for vectors.
 
     1. explode each pair to two ``(a, b, side, doc_id)`` rows,
     2. hash-join the rows back against ``docs`` on ``doc_id`` (both sides
@@ -427,9 +521,6 @@ def verify_pairs_against_corpus(
     from ..sources.io import cpu_count
     from .groupagg import bucketed_map_groups
     from .joins import hash_join
-
-    if metric is None:
-        metric = jaccard
 
     def explode(batch: pa.Table) -> pa.Table:
         a = batch.column("a").combine_chunks()
@@ -506,14 +597,7 @@ def verify_pairs_against_corpus(
         arr = vals if isinstance(vals, pa.Array) else vals.combine_chunks()
         v0 = arr.take(pa.array(ev, pa.int64()))
         v1 = arr.take(pa.array(od, pa.int64()))
-        if batch_metric is not None:
-            scores = np.asarray(batch_metric(v0, v1), dtype=np.float64)
-        else:
-            scores = np.fromiter(
-                (metric(x, y) for x, y in zip(v0.to_pylist(), v1.to_pylist())),
-                dtype=np.float64,
-                count=len(ev),
-            )
+        scores = np.asarray(batch_metric(v0, v1), dtype=np.float64)
         keep = scores >= threshold
         return pa.table(
             {
@@ -619,17 +703,22 @@ def minhash_dedup_pairs(
     stays distributed; callers (connected_components consumes a Dataset)
     sort/collect only at the driver edge if their result is small.
 
-    The verify side is a distributed hash-join of candidate ids back
-    against ``docs`` (see :func:`verify_pairs_against_corpus`); no corpus
-    text ever reaches the driver.  ``docs`` must carry doc_id + text.
+    Vectorized from the band shuffle to the verified pairs: one
+    :func:`_minhash_bucket_pairs` call per hash bucket of
+    ``(band_id, band_hash)`` (no Python call per LSH group below the skew
+    budget), one-chunk bucket outputs into the distinct aggregate, and one
+    :func:`jaccard_batch` call per verify bucket.  The verify side is a
+    distributed hash-join of candidate ids back against ``docs`` (see
+    :func:`verify_pairs_against_corpus`); no corpus text ever reaches the
+    driver.  ``docs`` must carry doc_id + text.
     """
+    from .groupagg import bucketed_map_groups
+
     bands = docs.map_batches(minhash_band_rows, batch_format="pyarrow")
-    candidates = bucketed_group_apply(
+    candidates = bucketed_map_groups(
         bands,
-        ("band_id", "band_hash"),
-        _pairs_from_groups,
-        empty_result=_EMPTY_PAIRS,
-        min_group_size=2,
+        ["band_id", "band_hash"],
+        _minhash_bucket_pairs,
         pre_shuffle_blocks=shuffle_blocks,
     )
     # distinct (a, b) via an AGGREGATE — a pair colliding in many bands
@@ -883,16 +972,6 @@ def simhash_dedup_pairs(
     )
 
 
-def cosine_sim(v_a, v_b) -> float:
-    """Exact cosine (the embedding verify metric), rounded to 6 places."""
-    a = np.asarray(v_a, dtype=np.float64)
-    b = np.asarray(v_b, dtype=np.float64)
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0 or nb == 0:
-        return 0.0
-    return round(float(a @ b) / (na * nb), 6)
-
-
 def _vec_hash(v) -> int:
     """Deterministic 64-bit content hash of a vector (identical embeddings
     collapse to one star group inside a bucket)."""
@@ -1006,10 +1085,6 @@ def embedding_neardup_pairs(
             }
         )
 
-    def cosine_packed(a_buf: bytes, b_buf: bytes) -> float:
-        return cosine_sim(np.frombuffer(a_buf, dtype=np.float64),
-                          np.frombuffer(b_buf, dtype=np.float64))
-
     def cosine_packed_batch(v0: pa.Array, v1: pa.Array) -> np.ndarray:
         # ONE row-wise cosine over the whole bucket: unpack the binary
         # column to (n, dims) float64 and einsum — no per-pair Python
@@ -1017,9 +1092,8 @@ def embedding_neardup_pairs(
         B = np.stack([np.frombuffer(x, np.float64) for x in v1.to_pylist()])
         num = np.einsum("ij,ij->i", A, B)
         den = np.sqrt(np.einsum("ij,ij->i", A, A) * np.einsum("ij,ij->i", B, B))
-        # round exactly like the scalar cosine_sim path (6 places): the
-        # two metric code paths must agree on keep/drop at the threshold
-        # boundary (ADVICE r4)
+        # rounded to 6 places: the threshold test and the reported cosine
+        # column see the same value (zero vectors score 0.0)
         return np.round(np.where(den > 0, num / np.maximum(den, 1e-300), 0.0), 6)
 
     # returned distributed: verified pairs are corpus-proportional at scale
@@ -1029,7 +1103,6 @@ def embedding_neardup_pairs(
         threshold=min_cosine,
         id_col="vec_id",
         text_col="embedding",
-        metric=cosine_packed,
         metric_col="cosine",
         pre_shuffle_blocks=shuffle_blocks,
         batch_metric=cosine_packed_batch,

@@ -1,7 +1,10 @@
 """Dedup + ANN pipeline tests (planted-duplicate answers, recall pins)."""
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pyarrow as pa
+import pytest
 
 from ocr_ray.stages import dedup
 
@@ -371,6 +374,129 @@ def test_minhash_pairs_from_groups_bounded():
     b = out.column("b").to_pylist()
     star_pairs = {(x, y) for x, y in zip(a, b) if x == 0 and y < n_same}
     assert star_pairs == {(0, i) for i in range(1, n_same)}
+
+
+_JWORD = st.sampled_from(["a", "b", "c", "é", "中文", "ß"])  # tiny vocabulary
+_JSEP = st.sampled_from([" ", "  ", "\t", "\n", " \n\t"])
+_JTEXT = st.one_of(
+    st.builds(
+        lambda lead, parts: lead + "".join(w + s for w, s in parts),
+        st.sampled_from(["", " ", "\n"]),
+        st.lists(st.tuples(_JWORD, _JSEP), max_size=14),
+    ),
+    st.sampled_from(["", " ", "\t\n ", "a", "a b", "é 中文", "b\ta"]),
+)
+
+
+@hypothesis.given(st.lists(st.tuples(_JTEXT, _JTEXT), max_size=40))
+@hypothesis.settings(max_examples=300, deadline=None)
+def test_jaccard_batch_bitwise_equals_scalar(pairs):
+    """jaccard_batch is bit-identical (float64 array_equal) to the scalar
+    jaccard on every pair: shingles repeated within a text and colliding
+    across the pair, empty / whitespace-only / 1- and 2-word texts, tabs,
+    newlines, non-ASCII words, both sides empty and one side empty."""
+    v0 = pa.array([x for x, _ in pairs], pa.string())
+    v1 = pa.array([y for _, y in pairs], pa.string())
+    got = dedup.jaccard_batch(v0, v1)
+    want = np.array([dedup.jaccard(x, y) for x, y in pairs], dtype=np.float64)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_jaccard_batch_thousands_of_pairs(seed):
+    """One call over thousands of pairs (a verify bucket's scale) equals
+    the scalar loop; near-dup pairs share most shingles."""
+    rng = np.random.default_rng(seed)
+    words = np.array(["a", "b", "c", "d", "é", "中文", "x", "y"])
+    base = [" ".join(rng.choice(words, rng.integers(0, 30))) for _ in range(3000)]
+    other = [
+        t if k % 3 == 0 else
+        (t + " z" if k % 3 == 1 else " ".join(rng.choice(words, rng.integers(0, 30))))
+        for k, t in enumerate(base)
+    ]
+    got = dedup.jaccard_batch(pa.array(base), pa.chunked_array([other[:7], other[7:]]))
+    want = np.array([dedup.jaccard(x, y) for x, y in zip(base, other)])
+    assert np.array_equal(got, want)
+
+
+_BAND_SCHEMA = pa.schema(
+    [("doc_id", pa.int64()), ("band_id", pa.int32()),
+     ("band_hash", pa.int64()), ("sig_hash", pa.int64())]
+)
+
+@st.composite
+def _lsh_group(draw):
+    """one LSH group: its band hash, whether every row shares one
+    signature, and 1-40 (doc, sig) rows (straddling n = 23) — doc ids from
+    a small range, so duplicate rows and docs carrying two signatures are
+    common."""
+    n = draw(st.integers(1, 40))
+    row = st.tuples(st.integers(0, 60), st.integers(0, 3))
+    return (
+        draw(st.integers(-(2**63), 2**63 - 1)),
+        draw(st.booleans()),
+        draw(st.lists(row, min_size=n, max_size=n)),
+    )
+
+
+@hypothesis.given(st.lists(_lsh_group(), min_size=1, max_size=8))
+@hypothesis.settings(max_examples=200, deadline=None)
+def test_minhash_bucket_pairs_matches_per_group_path(groups):
+    """The vectorized bucket kernel emits the same pair multiset as
+    _pairs_from_groups called once per (band_id, band_hash) group of >= 2
+    rows — on both sides of the n(n-1)/2 <= 256 budget (n = 23)."""
+    rows = []
+    for g, (band_hash, one_sig, members) in enumerate(groups):
+        for doc, sig in members:
+            rows.append((doc, g % 3, band_hash, 7 if one_sig else sig))
+    tbl = pa.table(
+        [pa.array(c, f.type) for c, f in zip(zip(*rows), _BAND_SCHEMA)],
+        schema=_BAND_SCHEMA,
+    )
+    by_key = {}
+    for doc, band, bh, sig in rows:
+        by_key.setdefault((band, bh), []).append((doc, sig))
+    want = []
+    for members in by_key.values():
+        if len(members) < 2:
+            continue
+        out = dedup._pairs_from_groups(
+            pa.table({"doc_id": [d for d, _ in members], "sig_hash": [s for _, s in members]})
+        )
+        want += zip(out.column("a").to_pylist(), out.column("b").to_pylist())
+    got = dedup._minhash_bucket_pairs(tbl)
+    assert got.schema == dedup._EMPTY_PAIRS.schema
+    assert sorted(zip(got.column("a").to_pylist(), got.column("b").to_pylist())) == sorted(want)
+
+
+def test_bucketed_group_apply_contiguous_output(ray_session):
+    """A per-group kernel's one-table-per-group outputs reach the next
+    shuffle as at most one chunk per bucket in every output block (they
+    were one chunk per GROUP, which made the next all-to-all ~20x
+    slower)."""
+    import ray
+    import ray.data
+
+    from ocr_ray.sources.io import cpu_count
+
+    n_groups = 2500
+    keys = np.repeat(np.arange(n_groups, dtype=np.int64), 2)
+    ds = ray.data.from_arrow(pa.table({"k": keys, "v": np.arange(keys.size)}))
+    out = dedup.bucketed_group_apply(
+        ds,
+        ("k",),
+        lambda g: pa.table({"k": g.column("k").slice(0, 1)}),
+        empty_result=pa.table({"k": pa.array([], pa.int64())}),
+        min_group_size=2,
+    )
+    n_buckets = 8 * max(4, cpu_count())
+    seen = []
+    for ref in out.to_arrow_refs():
+        block = ray.get(ref)
+        assert all(col.num_chunks <= n_buckets for col in block.columns)
+        seen += block.column("k").to_pylist()
+    assert sorted(seen) == list(range(n_groups))
 
 
 def test_semantic_dedup_hand_built(ray_session, tmp_path):
