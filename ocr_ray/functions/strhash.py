@@ -45,11 +45,11 @@ def _splitmix64(h: np.ndarray) -> np.ndarray:
 
 
 def _offsets_and_data(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
-    """(int64 offsets[len+1], uint8 data buffer) of a (Large)StringArray,
-    honoring a nonzero array offset (sliced arrays)."""
+    """(int64 offsets[len+1], uint8 data buffer) of a (Large)String or
+    (Large)Binary array, honoring a nonzero array offset (sliced arrays)."""
     if isinstance(arr, pa.ChunkedArray):
         arr = arr.combine_chunks()
-    if pa.types.is_large_string(arr.type):
+    if pa.types.is_large_string(arr.type) or pa.types.is_large_binary(arr.type):
         odt = np.int64
     else:
         odt = np.int32

@@ -311,7 +311,7 @@ SQL_LINEITEM_AGG = (
 
 def q_revenue_by_nation(sf_dir: str):
     """orders ⨝ customer via the size-planned join (auto_join: customer is
-    broadcast while provably under the limit, hash-partitioned Dataset.join
+    broadcast while provably under the limit, the keyed-bucket hash_join
     once it isn't — 1.5M rows at sf10, ~10^9 at web scale), aggregate by
     c_nationkey (25 groups), then map the 25-row result to nation names on
     the driver — only the genuinely tiny side ever leaves the pipeline."""

@@ -729,8 +729,9 @@ def q_user_day_join(sf_dir: str):
     stream with packed-key ``np.unique`` partials (<= users x days rows per
     batch) and one cardinality-bounded groupby; the enrichment join is the
     size-planned ``auto_join`` on the COMPOSITE key — broadcast while the
-    dimension is provably small, hash-partitioned ``Dataset.join`` on both
-    key columns above the limit."""
+    dimension is provably small, above the limit ``hash_join``: one
+    keyed-bucket shuffle on both key columns and one Arrow join per
+    bucket."""
     from ..stages.groupagg import bucketed_group_agg
     from ..stages.joins import auto_join
 

@@ -16,13 +16,13 @@ from ..stages import joins
 from ..stages.groupagg import bucketed_map_groups
 
 # ---------------------------------------------------------------------------
-# both-sides-large hash join (Dataset.join, hash-partitioned)
+# both-sides-large hash join (per-bucket Arrow join on the keyed-bucket shuffle)
 # ---------------------------------------------------------------------------
 
 def q_lineitem_order_join(sf_dir: str):
     """lineitem ⨝ orders on orderkey via the size-planned join (auto_join:
-    orders broadcasts while provably small, hash-partitioned Dataset.join
-    at scale), then revenue per order priority."""
+    orders broadcasts while provably small, the keyed-bucket hash_join at
+    scale), then revenue per order priority."""
     line = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_extendedprice", "l_discount"])
 
     def revenue(batch: pa.Table) -> pa.Table:
@@ -266,7 +266,7 @@ def q_orders_semi_events(sf_dir: str):
     """Orders whose customer HAS events (semi-join): the membership
     filter shape — distinct event users broadcast as a value set, every
     orders batch filtered with one vectorized is_in (joins.semi_anti_join
-    falls back to a hash-partitioned marker join when the key set is
+    falls back to one ``left_semi`` hash_join when the key set is
     large)."""
     orders = read_table(sf_dir, "orders", columns=["o_orderkey", "o_custkey"])
     events = read_table(sf_dir, "events", columns=["user_id"])

@@ -1228,7 +1228,7 @@ SQL_EVENTS_UNPIVOT = (
 
 
 # ---------------------------------------------------------------------------
-# FULL OUTER join (native hash-shuffle path)
+# FULL OUTER join (keyed-bucket hash join)
 # ---------------------------------------------------------------------------
 
 
@@ -1237,10 +1237,11 @@ def q_customer_order_full(sf_dir: str):
     per-customer order stats (custkeys that placed orders) against the
     BUILDING-segment customer dimension — left-only rows are buyers outside
     the segment, right-only rows are segment customers who never ordered.
-    Exercises Ray's native ``full_outer`` hash join through the size-aware
-    planner (a full outer can NEVER broadcast — both sides contribute
-    unmatched rows, so ``auto_join`` must fall through to the partitioned
-    path regardless of side size; this query pins that planning rule).
+    Exercises ``full_outer`` through the size-aware planner: a per-bucket
+    Arrow join on the keyed-bucket shuffle (a full outer can NEVER
+    broadcast — both sides contribute unmatched rows, so ``auto_join``
+    must fall through to the shuffle path regardless of side size; this
+    query pins that planning rule).
     The orders side pre-aggregates (Count + Max — Max is float
     order-independent, so no quantization dance) through
     ``bucketed_group_agg``: custkey is a DATA-cardinality key (~#customers
@@ -1252,13 +1253,19 @@ def q_customer_order_full(sf_dir: str):
     171-186` (entries on either side of the on-disk map survive)."""
     from ..stages.joins import auto_join
 
+    stats_schema = pa.schema(
+        [("o_custkey", pa.int64()), ("n_orders", pa.int64()), ("max_price", pa.float64())]
+    )
     stats = bucketed_group_agg(
         read_table(sf_dir, "orders", columns=["o_custkey", "o_totalprice"]),
         ["o_custkey"],
         {"n_orders": ("count", None), "max_price": ("max", "o_totalprice")},
     ).materialize()  # dimension-sized (one row per custkey) by construction:
-    # materializing gives the join planner KNOWN sizes, so num_partitions
-    # scales with actual bytes instead of defaulting to cluster width
+    # materialized so the join's schema probe does not re-run the shuffle
+    if stats.schema() is None:
+        # no orders at all: the aggregate has no typed block, so give the
+        # join a typed empty left side
+        stats = ray.data.from_arrow(stats_schema.empty_table())
     segment = (
         read_table(
             sf_dir, "customer", columns=["c_custkey", "c_acctbal", "c_mktsegment"]
@@ -1267,39 +1274,13 @@ def q_customer_order_full(sf_dir: str):
         .select_columns(["c_custkey", "c_acctbal"])
         .materialize()
     )
-    if segment.count() == 0:
-        # Ray's hash full_outer KeyErrors when one side is empty (even with
-        # a typed empty block — the shuffle aggregator partition never sees
-        # the right schema; fuzz-harness finding).  The degenerate full
-        # outer IS the left side with null right columns — synthesize it.
-        joined = stats.map_batches(
-            lambda b: b.append_column(
-                "c_acctbal", pa.nulls(b.num_rows, pa.float64())
-            ),
-            batch_format="pyarrow",
-        )
-    elif stats.count() == 0:
-        # symmetric guard (ADVICE r4): an empty LEFT (no orders at all)
-        # with a nonempty segment hits the same upstream KeyError; the
-        # degenerate full outer is the segment with null left columns.
-        joined = segment.map_batches(
-            lambda b: pa.table(
-                {
-                    "o_custkey": pc.cast(b.column("c_custkey"), pa.int64()),
-                    "n_orders": pa.nulls(b.num_rows, pa.int64()),
-                    "max_price": pa.nulls(b.num_rows, pa.float64()),
-                    "c_acctbal": b.column("c_acctbal"),
-                }
-            ),
-            batch_format="pyarrow",
-        )
-    else:
-        joined = auto_join(
-            stats, segment, on="o_custkey", right_on="c_custkey", join_type="full_outer"
-        )
+    joined = auto_join(
+        stats, segment, on="o_custkey", right_on="c_custkey", join_type="full_outer"
+    )
 
     def finish(batch: pa.Table) -> pa.Table:
-        # Ray's full_outer coalesces the key into the LEFT name already
+        # the per-bucket Arrow full outer join coalesces the key into
+        # the LEFT name already
         return pa.table(
             {
                 "custkey": pc.cast(batch.column("o_custkey"), pa.int64()),

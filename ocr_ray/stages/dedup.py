@@ -520,7 +520,7 @@ def verify_pairs_against_corpus(
     """
     from ..sources.io import cpu_count
     from .groupagg import bucketed_map_groups
-    from .joins import hash_join
+    from .joins import BROADCAST_BYTES, _collect_small, broadcast_fetch_join, hash_join
 
     def explode(batch: pa.Table) -> pa.Table:
         a = batch.column("a").combine_chunks()
@@ -535,15 +535,11 @@ def verify_pairs_against_corpus(
             }
         )
 
-    from .joins import BROADCAST_BYTES, broadcast_fetch_join, default_num_partitions
-
     sides = pairs.map_batches(explode, batch_format="pyarrow").materialize()
     size = sides.size_bytes()
     if size is not None and size <= BROADCAST_BYTES:
         # candidate set provably small: broadcast it and FETCH the payloads
-        # by streaming the corpus once (no corpus shuffle, no join actors)
-        from .joins import _collect_small
-
+        # by streaming the corpus once (no corpus shuffle)
         small = _collect_small(sides)
         if small is None:
             return ray.data.from_arrow(
@@ -557,16 +553,8 @@ def verify_pairs_against_corpus(
             )
         joined = broadcast_fetch_join(small, docs, on=id_col)
     else:
-        # candidate set is itself large: fall back to the shuffle join.
-        # (The coalescing repartition unifies the schema-less empty blocks
-        # groupby().map_groups emits for groupless partitions, which break
-        # Dataset.join's Acero key lookup.)
-        joined = hash_join(
-            sides.repartition(default_num_partitions(sides)),
-            docs,
-            on=id_col,
-            join_type="left_outer",
-        )
+        # candidate set is itself large: fall back to the shuffle join
+        joined = hash_join(sides, docs, on=id_col, join_type="left_outer")
 
     def verify_bucket(g: pa.Table) -> pa.Table:
         g = g.select(["a", "b", "side", text_col]).combine_chunks()
@@ -744,16 +732,18 @@ def connected_components(
     limit resolves with a driver union-find (exact, one pass); a larger one
     runs distributed min-label propagation — per round, every edge offers
     each endpoint the other side's current label, and a groupby(node) min
-    folds the offers (converges in <= graph-diameter rounds; capped and
-    checked).  Either way the corpus itself is never touched: the pair set
-    is orders of magnitude smaller than the corpus it came from.
+    folds the offers.  Labels settle within graph-diameter rounds, and one
+    more round sees no change; a graph that needs more than ``max_iters``
+    rounds raises ``RuntimeError`` instead of returning partial labels.
+    Either way the corpus itself is never touched: the pair set is orders
+    of magnitude smaller than the corpus it came from.
     """
-    mat = pairs.materialize()
-    size = mat.size_bytes()
+    edges = pairs.materialize()
+    size = edges.size_bytes()
     if size is not None and size <= broadcast_limit:
         from .joins import _collect_small
 
-        tbl = _collect_small(mat)
+        tbl = _collect_small(edges)
         if tbl is None:
             return ray.data.from_arrow(
                 pa.table(
@@ -790,83 +780,63 @@ def connected_components(
         )
 
     # distributed min-label propagation
-    from .joins import default_num_partitions, hash_join
+    from .joins import hash_join
 
-    npart = default_num_partitions(mat)
-    # the coalescing repartitions unify the schema-less empty blocks
-    # groupby().map_groups can emit, which break Dataset.join (see
-    # verify_pairs_against_corpus)
-    edges = mat.repartition(npart)
+    def arcs_of(batch: pa.Table) -> pa.Table:
+        a = batch.column("a").combine_chunks()
+        b = batch.column("b").combine_chunks()
+        return pa.table({"src": pa.concat_arrays([a, b]), "dst": pa.concat_arrays([b, a])})
 
-    def seed(batch: pa.Table) -> pa.Table:
-        ids = pa.concat_arrays(
-            [batch.column("a").combine_chunks(), batch.column("b").combine_chunks()]
-        )
-        return pa.table({"node": ids, "label": ids})
-
-    # per-node min is an AGGREGATE (one Python call per block, not per node)
-    labels = (
-        distinct_rows(edges.map_batches(seed, batch_format="pyarrow"),
-                      ["node"], min_cols=("label",))
-        .repartition(npart)
-        .materialize()
-    )
-
-    def rn(col: str):
-        def f(batch: pa.Table) -> pa.Table:
-            return pa.table({"node": batch.column(col), "label": batch.column("label")})
-
-        return f
-
-    def as_old(batch: pa.Table) -> pa.Table:
+    def own(batch: pa.Table) -> pa.Table:
+        # a node offers itself its current label, which also rides along
+        # as ``label_old`` so the fold below can tell what changed
         return pa.table(
-            {"node": batch.column("node"), "label_old": batch.column("label")}
+            {"node": batch.column("node"), "label": batch.column("label"),
+             "label_old": batch.column("label")}
         )
 
+    def offer(batch: pa.Table) -> pa.Table:
+        n = batch.num_rows
+        return pa.table(
+            {"node": batch.column("dst"), "label": batch.column("label"),
+             "label_old": pa.array(np.full(n, np.iinfo(np.int64).max), pa.int64())}
+        )
+
+    def n_changed(batch: pa.Table) -> pa.Table:
+        diff = pc.not_equal(batch.column("label"), batch.column("label_old"))
+        return pa.table({"c": [pc.sum(pc.cast(diff, pa.int64())).as_py() or 0]})
+
+    # every edge in both directions: src's label is offered to dst
+    arcs = edges.map_batches(arcs_of, batch_format="pyarrow").materialize()
+    # per-node min is an AGGREGATE (one Python call per block, not per node)
+    labels = distinct_rows(
+        arcs.map_batches(
+            lambda b: pa.table({"node": b.column("src"), "label": b.column("src")}),
+            batch_format="pyarrow",
+        ),
+        ["node"],
+        min_cols=("label",),
+    ).materialize()
     for _ in range(max_iters):
-        # offers: each edge endpoint receives the label of the other side
-        la = hash_join(edges, labels, on="a", right_on="node").select_columns(["b", "label"])
-        lb = hash_join(edges, labels, on="b", right_on="node").select_columns(["a", "label"])
-        offers = (
-            la.map_batches(rn("b"), batch_format="pyarrow")
-            .union(lb.map_batches(rn("a"), batch_format="pyarrow"))
-            .union(labels)
-        )
-        new_labels = (
-            distinct_rows(offers, ["node"], min_cols=("label",))
-            .repartition(npart)
-            .materialize()
-        )
-        old = labels.map_batches(as_old, batch_format="pyarrow")
-        changed = (
-            hash_join(new_labels, old, on="node")
-            .map_batches(
-                lambda b: pa.table(
-                    {
-                        "c": pa.array(
-                            [
-                                pc.sum(
-                                    pc.cast(
-                                        pc.not_equal(
-                                            b.column("label"), b.column("label_old")
-                                        ),
-                                        pa.int64(),
-                                    )
-                                ).as_py()
-                                or 0
-                            ],
-                            pa.int64(),
-                        )
-                    }
-                ),
-                batch_format="pyarrow",
-            )
-            .to_pandas()["c"]
-            .sum()
-        )
-        labels = new_labels
-        if changed == 0:
+        offers = hash_join(arcs, labels, on="src", right_on="node")
+        # one fold per round: the min offer is the new label, and the min
+        # ``label_old`` is the old one (offers carry int64 max there).  The
+        # fold keeps the edge set's block count: a shuffle emits one block
+        # per input block, so unbounded the labels' blocks double per round
+        labels = distinct_rows(
+            offers.map_batches(offer, batch_format="pyarrow").union(
+                labels.map_batches(own, batch_format="pyarrow")
+            ),
+            ["node"],
+            min_cols=("label", "label_old"),
+            pre_shuffle_blocks=edges.num_blocks(),
+        ).materialize()
+        if labels.map_batches(n_changed, batch_format="pyarrow").sum("c") == 0:
             break
+    else:
+        raise RuntimeError(
+            f"connected_components: labels still changing after {max_iters} rounds"
+        )
 
     def to_out(batch: pa.Table) -> pa.Table:
         return pa.table(

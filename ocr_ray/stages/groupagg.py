@@ -32,7 +32,7 @@ def bucket_ids(table: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
     values of ``keys`` alone (never the batch split or chunk layout).
 
     Vectorized, no per-row Python: integer keys are taken as uint64 (two's
-    complement for negatives; nulls as 0), string keys through
+    complement for negatives; nulls as 0), string and binary keys through
     :func:`~ocr_ray.functions.strhash.hash_strings_u64` (nulls hash like
     ``''``).  Multi-key lanes fold as ``h * FNV_PRIME + lane``, and the
     fold is mixed once with splitmix64 so dense ids spread evenly."""
@@ -42,13 +42,18 @@ def bucket_ids(table: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
     for k in keys:
         col = table.column(k)
         t = col.type
-        if pa.types.is_string(t) or pa.types.is_large_string(t):
-            lane = hash_strings_u64(pc.fill_null(col, ""), SEED_A)
+        if (
+            pa.types.is_string(t)
+            or pa.types.is_large_string(t)
+            or pa.types.is_binary(t)
+            or pa.types.is_large_binary(t)
+        ):
+            lane = hash_strings_u64(pc.fill_null(col, pa.scalar(b"", t)), SEED_A)
         elif pa.types.is_integer(t):
             lane = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
             lane = lane.astype(np.int64).view(np.uint64)
         else:
-            raise TypeError(f"bucket key {k!r} must be integer or string, not {t}")
+            raise TypeError(f"bucket key {k!r} must be integer, string or binary, not {t}")
         h = h * _FOLD + lane
     return (_splitmix64(h) % np.uint64(n_buckets)).astype(np.int64)
 

@@ -3,8 +3,10 @@
 The reference has no relational joins (SURVEY §2.5 — only keyed lookups);
 these are the standard shapes a data-processing engine owes its users:
 
-- :func:`hash_join` — both-sides-large equi-join via ``Dataset.join``
-  (hash-partitioned on the key; ``num_partitions`` is the shuffle fan-out).
+- :func:`hash_join` — both-sides-large equi-join: tag + union both sides,
+  ONE key-bucket shuffle (``groupagg.bucketed_map_groups``), one Arrow
+  ``pa.Table.join`` per bucket; :func:`auto_join` broadcasts a provably
+  small right side instead.
 - :func:`asof_join` — sort-merge as-of: tag + union both sides, ONE
   key-bucket shuffle (``groupagg.bucketed_map_groups``), one vectorized
   ``pd.merge_asof(by=key)`` per bucket (ray_guide 'As-of / range join'
@@ -18,53 +20,44 @@ these are the standard shapes a data-processing engine owes its users:
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 
-from .groupagg import bucketed_map_groups
+from .groupagg import bucketed_group_agg, bucketed_map_groups
 
-# Target bytes per join partition: small enough that a partition's build side
-# fits a worker heap, large enough that task overhead stays negligible.
-_JOIN_PARTITION_BYTES = 128 * 1024 * 1024
-
-
-def default_num_partitions(*datasets: ray.data.Dataset) -> int:
-    """Shuffle fan-out scaled to the cluster and the input size.
-
-    ``max(cluster CPUs, total_bytes / 128 MiB)`` (capped at 4096): on one
-    node every core gets a partition; at 100 TB the byte term dominates and
-    keeps partitions bounded.  Falls back to CPUs when Ray Data can't
-    estimate size (derived datasets before execution).
-    """
-    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-    cpus = max(2, cpus)
-    size = 0
-    all_known = True
-    for ds in datasets:
-        try:
-            sb = ds.size_bytes()
-        except Exception:
-            sb = None
-        if sb:
-            size += sb
-        else:
-            all_known = False
-    by_bytes = -(-size // _JOIN_PARTITION_BYTES) if size else 0
-    wide = min(4096, max(cpus, by_bytes))
-    if not all_known:
-        return wide
-    # Every side's size is KNOWN (parquet metadata / materialized blocks):
-    # the join's per-partition fixed cost (~0.1 s of aggregator-actor setup
-    # per partition, measured) dominates small joins, so clamp fan-out to
-    # ~8 MiB per partition — a 15k-row dimension join plans 2 partitions
-    # instead of #CPUs, while anything over cpus*8MiB keeps `wide`.
-    return max(2, min(wide, -(-size // (8 * 1024 * 1024))))
+#: hash_join's join types -> the Acero join verb run inside each bucket
+#: (the same verbs Ray's own join operator passes to ``pa.Table.join``)
+_ARROW_JOIN_VERB = {
+    "inner": "inner",
+    "left_outer": "left outer",
+    "right_outer": "right outer",
+    "full_outer": "full outer",
+    "left_semi": "left semi",
+    "left_anti": "left anti",
+}
 
 
 def _as_keys(on) -> tuple:
     """Normalize a join key spec (str | sequence of str) to a tuple."""
     return (on,) if isinstance(on, str) else tuple(on)
+
+
+def _arrow_schema(ds: ray.data.Dataset) -> pa.Schema:
+    """``ds``'s columns as an Arrow schema.  A pandas-block dataset maps its
+    numpy dtypes; one with an object dtype (no Arrow type) is read back
+    through one pyarrow map."""
+    schema = ds.schema()
+    if schema is None:
+        raise ValueError("hash_join needs a schema on both sides; a side has none")
+    if isinstance(schema.base_schema, pa.Schema):
+        return schema.base_schema
+    if all(isinstance(t, pa.DataType) for t in schema.types):
+        return pa.schema(list(zip(schema.names, schema.types)))
+    return ds.map_batches(lambda b: b, batch_format="pyarrow").schema().base_schema
 
 
 def hash_join(
@@ -74,17 +67,73 @@ def hash_join(
     on,
     right_on=None,
     join_type: str = "inner",
-    num_partitions: int | None = None,
 ) -> ray.data.Dataset:
-    if num_partitions is None:
-        num_partitions = default_num_partitions(left, right)
-    return left.join(
-        right,
-        join_type=join_type,
-        num_partitions=num_partitions,
-        on=_as_keys(on),
-        right_on=_as_keys(right_on) if right_on else None,
+    """Both-sides-large equi-join on the keyed-bucket shuffle.
+
+    Both sides are tagged into one column layout — the join keys under
+    the LEFT names (right keys cast to the left key types), each side's
+    payload columns typed from its ``schema()`` and typed nulls on the
+    other side's rows (right payloads ride as ``__r:<name>`` so equal
+    names cannot collide), and an int8 ``__side`` — unioned, and
+    bucketed on the keys by :func:`~ocr_ray.stages.groupagg.bucketed_map_groups`.
+    Each bucket splits back into its left and right tables (a side with no
+    rows there is its empty typed table) and runs ONE
+    ``pa.Table.join(keys=on, right_keys=right_on, join_type=<verb>)``: the
+    Acero call Ray's join operator makes per partition, so output columns
+    (key coalesced under the left name; ``right_outer`` keeps the right
+    key) and null-key semantics (a null key matches nothing) are Acero's.
+
+    ``join_type`` is one of inner / left_outer / right_outer / full_outer /
+    left_semi / left_anti.  Contract, as for :func:`asof_join`: a bucket's
+    rows from both sides fit in one task, so a hot key's rows sit in one
+    task; salt hot keys upstream if that does not hold."""
+    verb = _ARROW_JOIN_VERB[join_type]
+    lkeys = list(_as_keys(on))
+    rkeys = list(_as_keys(right_on)) if right_on else lkeys
+    ls, rs = _arrow_schema(left), _arrow_schema(right)
+    rpay = [n for n in rs.names if n not in rkeys]
+    payload = pa.schema(
+        [ls.field(k) for k in lkeys]
+        + [f for f in ls if f.name not in lkeys]
+        + [rs.field(n).with_name("__r:" + n) for n in rpay]
     )
+    layout = payload.append(pa.field("__side", pa.int8()))
+    # payload column -> source column, per side
+    lsrc = {n: n for n in ls.names}
+    rsrc = {**dict(zip(lkeys, rkeys)), **{"__r:" + n: n for n in rpay}}
+
+    def tagger(side: int, src: dict):
+        def tag(batch: pa.Table) -> pa.Table:
+            n = batch.num_rows
+            if not n:  # also covers schema-less empty upstream blocks
+                return layout.empty_table()
+            cols = [
+                batch.column(src[f.name]).cast(f.type)
+                if f.name in src
+                else pa.nulls(n, f.type)
+                for f in payload
+            ]
+            return pa.table(cols, schema=payload).append_column(
+                "__side", pa.array(np.full(n, side, np.int8))
+            )
+
+        return tag
+
+    def per_bucket(g: pa.Table) -> pa.Table:
+        is_left = pc.equal(g.column("__side"), 0)
+        lt = g.filter(is_left).select(ls.names)
+        rt = (
+            g.filter(pc.invert(is_left))
+            .select(lkeys + ["__r:" + n for n in rpay])
+            .rename_columns(rkeys + rpay)
+            .select(rs.names)
+        )
+        return lt.join(rt, keys=lkeys, right_keys=rkeys, join_type=verb)
+
+    both = left.map_batches(tagger(0, lsrc), batch_format="pyarrow").union(
+        right.map_batches(tagger(1, rsrc), batch_format="pyarrow")
+    )
+    return bucketed_map_groups(both, lkeys, per_bucket)
 
 
 # A side at most this large is broadcast (ray.put once, zero-copy object
@@ -102,8 +151,6 @@ def _known_size(ds: ray.data.Dataset) -> int | None:
 def _collect_small(ds: ray.data.Dataset):
     """Small-by-contract dataset -> one Arrow table (schema-less empty
     blocks from upstream map_groups are dropped)."""
-    import pyarrow as pa
-
     tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
     return pa.concat_tables(tbls).combine_chunks() if tbls else None
 
@@ -113,9 +160,6 @@ def _combined_key(tbl, keys: tuple):
     joins; for composite keys, the unit-separated string fold of the
     stringified columns (collision-free for sep-free values; entirely
     Arrow kernels, no Python rows)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     if len(keys) == 1:
         col = tbl.column(keys[0])
         return col.combine_chunks() if isinstance(col, pa.ChunkedArray) else col
@@ -137,9 +181,6 @@ def broadcast_lookup_join(
     a vectorized ``pc.index_in`` + ``take`` — no shuffle, no per-row
     Python.  Composite keys fold to one lookup lane via
     :func:`_combined_key`."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     lkeys = _as_keys(on)
     rkeys = _as_keys(right_on) if right_on else lkeys
     ref = ray.put(right_tbl.combine_chunks())
@@ -175,9 +216,6 @@ def broadcast_fetch_join(
     batch, so the union over batches is the exact inner join).  Used to
     fetch corpus payloads for a small candidate set without shuffling the
     corpus."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     key = stream_on or on
     ref = ray.put(small_tbl.combine_chunks())
 
@@ -206,9 +244,10 @@ def auto_join(
 ) -> ray.data.Dataset:
     """Join planning by size: broadcast the right side when its size is
     KNOWN (parquet metadata / materialized blocks) and under the limit;
-    hash-partitioned ``Dataset.join`` otherwise.  Right keys must be unique
-    (dimension semantics) for the broadcast path — the standard
-    broadcast-vs-shuffle planner rule.  ``on`` / ``right_on`` accept a
+    otherwise :func:`hash_join`, one Arrow join per bucket of the
+    keyed-bucket shuffle (every other join type always takes it).  Right
+    keys must be unique (dimension semantics) for the broadcast path —
+    the standard broadcast-vs-shuffle planner rule.  ``on`` / ``right_on`` accept a
     single column name or a sequence (composite keys) on both paths."""
     rb = _known_size(right)
     if (
@@ -241,14 +280,9 @@ def semi_anti_join(
     distributed (groupby aggregate); when provably small it broadcasts as
     a value set and every left batch filters with one vectorized
     ``pc.is_in`` (no shuffle of ``left`` at all — the common case: a
-    blocklist, an id allowlist, a seen-set).  A large key set falls back
-    to a hash-partitioned left_outer join against the distinct keys plus
-    a marker column, filtering on marker presence."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from .groupagg import bucketed_group_agg
-
+    blocklist, an id allowlist, a seen-set).  A large key set runs one
+    :func:`hash_join` against the distinct keys with ``left_semi`` or
+    ``left_anti`` (a NULL left key matches nothing, so anti keeps it)."""
     key = right_on or on
     # the distinct key set is RIGHT-TABLE-cardinality: bucketed fold (r5);
     # int64 and string keys take the lexsort/reduceat kernel, anything
@@ -294,19 +328,13 @@ def semi_anti_join(
 
         return left.map_batches(filt, batch_format="pyarrow")
 
-    marker = distinct.map_batches(
-        lambda b: b.append_column(
-            "__hit", pa.array([1] * b.num_rows, pa.int8())
-        ),
-        batch_format="pyarrow",
+    return hash_join(
+        left,
+        distinct,
+        on=on,
+        right_on=key,
+        join_type="left_anti" if anti else "left_semi",
     )
-    joined = hash_join(left, marker, on=on, right_on=key, join_type="left_outer")
-
-    def keep(batch: pa.Table) -> pa.Table:
-        hit = pc.is_valid(batch.column("__hit"))
-        return batch.filter(pc.invert(hit) if anti else hit).drop_columns(["__hit"])
-
-    return joined.map_batches(keep, batch_format="pyarrow")
 
 
 def asof_join(
@@ -419,10 +447,6 @@ def bucketed_prefix_sum(
     of the rows.  Contract: callers size ``bucket_size`` so the BUCKET
     COUNT (key range / bucket_size) stays driver-small — at 10^12 keys that
     means bucket_size >= ~10^8, not the default."""
-    import numpy as np
-
-    import pyarrow as pa
-
     def range_bucket(batch: pa.Table) -> pa.Table:
         # emit ARROW blocks: the downstream native aggregate was measured
         # ~18 s/task on the same rows as pandas blocks vs ~1 s as Arrow

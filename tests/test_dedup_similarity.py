@@ -306,8 +306,9 @@ def test_connected_components_unionfind(ray_session):
 
 
 def test_connected_components_distributed_path(ray_session):
-    """broadcast_limit=0 forces min-label propagation; a chain needs
-    diameter rounds, so this exercises the iteration + convergence check."""
+    """broadcast_limit=0 forces min-label propagation.  The 6-node chain
+    needs 5 rounds for label 0 to reach its far end, plus one round that
+    sees no change and stops the loop."""
     import ray.data
 
     chain = [(i, i + 1) for i in range(5)]
@@ -318,6 +319,16 @@ def test_connected_components_distributed_path(ray_session):
     got = dict(zip(out.column("doc_id").to_pylist(), out.column("cluster_id").to_pylist()))
     assert all(got[i] == 0 for i in range(6))
     assert got[100] == got[101] == got[102] == 100
+
+
+def test_connected_components_raises_without_convergence(ray_session):
+    """A 10-node chain needs 9 propagation rounds; with max_iters=4 the
+    distributed path raises instead of returning partial labels."""
+    import ray.data
+
+    chain = ray.data.from_arrow(_edges_tbl([(i, i + 1) for i in range(9)]))
+    with pytest.raises(RuntimeError, match="after 4 rounds"):
+        dedup.connected_components(chain, broadcast_limit=0, max_iters=4)
 
 
 def test_connected_components_paths_agree(ray_session):

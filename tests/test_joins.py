@@ -1,6 +1,13 @@
 """Join machinery tests: hash join, as-of join, running window."""
 
+import os
+import pathlib
+import signal
+import subprocess
+import sys
+
 import pandas as pd
+import pytest
 
 from ocr_ray.stages import joins
 
@@ -12,7 +19,7 @@ def test_hash_join(ray_session):
         [{"k": i % 3, "lv": i} for i in range(9)]
     )
     right = ray.data.from_items([{"rk": 0, "rv": "a"}, {"rk": 1, "rv": "b"}])
-    out = joins.hash_join(left, right, on="k", right_on="rk", num_partitions=4).to_pandas()
+    out = joins.hash_join(left, right, on="k", right_on="rk").to_pandas()
     assert len(out) == 6  # k in {0,1} matches 3 rows each
     assert set(out["rv"]) == {"a", "b"}
 
@@ -69,11 +76,9 @@ def test_running_window(ray_session):
 def test_auto_join_shuffle_path_hot_key(ray_session):
     """Force auto_join's shuffle fallback (broadcast_limit=0) on skewed
     data: 80% of the left rows share one key.  The hash join must complete
-    and match pandas exactly — a hot key lands in one hash partition, but
-    the probe side streams through it batch-by-batch, so per-task memory
-    stays bounded by the BUILD side (right), not by the hot key's probe
-    rows.  (asof_join has the opposite contract: a whole key's rows sit in
-    one group task — salt hot keys upstream there, joins.py:9-13.)
+    and match pandas exactly.  A hot key's whole bucket — both sides' rows —
+    sits in one task, the same contract as asof_join: salt hot keys
+    upstream when one bucket does not fit a task.
     """
     import numpy as np
     import pyarrow as pa
@@ -368,3 +373,138 @@ def test_composite_key_join_right_on(ray_session):
         left, right, on=["a", "b"], right_on=["ra", "rb"]
     ).to_pandas()
     assert got.to_dict("records") == [{"a": 1, "b": "x", "lv": 7, "rv": 5}]
+
+
+def _merge_oracle(ldf: pd.DataFrame, rdf: pd.DataFrame, join_type: str) -> pd.DataFrame:
+    """pandas spelling of hash_join's output on ``k`` = ``rk``: the key
+    coalesces under the left name, except right_outer keeps the right key."""
+    if join_type in ("left_semi", "left_anti"):
+        hit = ldf["k"].isin(rdf["rk"])
+        return ldf[hit if join_type == "left_semi" else ~hit]
+    how = {"inner": "inner", "left_outer": "left", "right_outer": "right",
+           "full_outer": "outer"}[join_type]
+    m = ldf.merge(rdf, left_on="k", right_on="rk", how=how)
+    if join_type == "right_outer":
+        return m.drop(columns=["k"])
+    m["k"] = m["k"].fillna(m["rk"])
+    return m.drop(columns=["rk"])
+
+
+@pytest.mark.parametrize("empty", ["left", "right", "neither"])
+@pytest.mark.parametrize(
+    "join_type",
+    ["inner", "left_outer", "right_outer", "full_outer", "left_semi", "left_anti"],
+)
+def test_hash_join_empty_side(ray_session, join_type, empty):
+    """Every join type with one side empty (and with neither) matches the
+    pandas merge oracle, column names and Arrow types included; an empty
+    side's payload columns come back as typed nulls."""
+    import pyarrow as pa
+    import ray
+
+    lt = pa.table({"k": pa.array([1, 2, 3, 3], pa.int64()),
+                   "lv": pa.array([10, 20, 30, 31], pa.int64()),
+                   "s": pa.array(["a", "b", "c", "d"])})
+    rt = pa.table({"rk": pa.array([3, 4, 1], pa.int64()),
+                   "rv": pa.array([0.5, 1.5, 2.5], pa.float64())})
+    if empty == "left":
+        lt = lt.slice(0, 0)
+    elif empty == "right":
+        rt = rt.slice(0, 0)
+    out = joins.hash_join(
+        ray.data.from_arrow(lt), ray.data.from_arrow(rt),
+        on="k", right_on="rk", join_type=join_type,
+    )
+    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
+
+    fields = {f.name: f for f in list(lt.schema) + list(rt.schema)}
+    names = {
+        "right_outer": ["lv", "s", "rk", "rv"],
+        "left_semi": ["k", "lv", "s"],
+        "left_anti": ["k", "lv", "s"],
+    }.get(join_type, ["k", "lv", "s", "rv"])
+    assert got.schema == pa.schema([fields[n] for n in names])
+
+    want = _merge_oracle(lt.to_pandas(), rt.to_pandas(), join_type)
+    assert list(want.columns) == names
+    order = [c for c in ("lv", "rv") if c in names]
+    pd.testing.assert_frame_equal(
+        got.to_pandas().sort_values(order).reset_index(drop=True),
+        want.sort_values(order).reset_index(drop=True),
+        check_dtype=False,
+    )
+
+
+def test_hash_join_binary_key(ray_session):
+    """A binary join key (content hashes) buckets by its bytes."""
+    import pyarrow as pa
+    import ray
+
+    left = pa.table({"h": pa.array([b"x", b"y", b"z"], pa.binary()), "lv": [1, 2, 3]})
+    right = pa.table({"h": pa.array([b"z", b"x", b"w"], pa.binary()), "rv": [30, 10, 0]})
+    got = joins.hash_join(
+        ray.data.from_arrow(left), ray.data.from_arrow(right), on="h"
+    ).to_pandas().sort_values("lv")
+    assert got[["lv", "rv"]].values.tolist() == [[1, 10], [3, 30]]
+
+
+_LIVENESS_SCRIPT = """
+import pyarrow as pa
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+import ray.data
+
+ray.data.DataContext.get_current().enable_progress_bars = False
+from ocr_ray.stages import dedup, joins
+
+edges = ray.data.from_arrow(
+    pa.table({"a": pa.array([1, 2, 3], pa.int64()), "b": pa.array([2, 3, 4], pa.int64())})
+)
+nodes = ray.data.from_arrow(
+    pa.table({"node": pa.array([1, 2, 3, 4, 5], pa.int64()),
+              "name": pa.array(["n1", "n2", "n3", "n4", "n5"])})
+)
+
+
+def rows(ds):
+    return sorted(map(tuple, ds.to_pandas().itertuples(index=False)))
+
+
+results = []
+for limit in (joins.BROADCAST_BYTES, 0):
+    results.append((
+        rows(joins.auto_join(edges, nodes, on="b", right_on="node", broadcast_limit=limit)),
+        rows(joins.semi_anti_join(nodes, edges, on="node", right_on="a", anti=True,
+                                  broadcast_limit=limit)),
+        rows(dedup.connected_components(edges, broadcast_limit=limit)),
+    ))
+broadcast, shuffle = results
+assert shuffle == broadcast, (shuffle, broadcast)
+assert broadcast[2] == [(1, 1), (2, 1), (3, 1), (4, 1)], broadcast
+ray.shutdown()
+print("LIVENESS-OK")
+"""
+
+
+def test_shuffle_joins_finish_on_one_cpu():
+    """The shuffle paths of auto_join, semi_anti_join and
+    connected_components finish on a 1-CPU Ray cluster within 30 s and
+    agree with their broadcast paths.  Runs in its own process (own Ray
+    cluster), killed with its whole process group on timeout."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root))
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _LIVENESS_SCRIPT],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("shuffle joins did not finish within 30 s on a 1-CPU cluster")
+    assert proc.returncode == 0, err[-3000:]
+    assert "LIVENESS-OK" in out

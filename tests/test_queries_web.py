@@ -276,6 +276,36 @@ def test_customer_order_full_has_all_three_row_classes(ray_session):
     assert out["b"].isna().tolist() == [True, False, False]
 
 
+@pytest.mark.parametrize("empty", ["orders", "segment"])
+def test_customer_order_full_one_side_empty(ray_session, tmp_path, empty):
+    """No orders at all, or no BUILDING customers: the full outer join is
+    the other side alone, with the missing side's columns filled."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from ocr_ray.pipelines.queries_web import q_customer_order_full
+
+    n_orders = 0 if empty == "orders" else 3
+    pq.write_table(
+        pa.table({"o_custkey": pa.array([1, 1, 5][:n_orders], pa.int64()),
+                  "o_totalprice": pa.array([10.0, 20.0, 7.5][:n_orders])}),
+        tmp_path / "orders.parquet",
+    )
+    seg = "AUTOMOBILE" if empty == "segment" else "BUILDING"
+    pq.write_table(
+        pa.table({"c_custkey": pa.array([1, 2], pa.int64()),
+                  "c_acctbal": pa.array([100.0, 200.0]),
+                  "c_mktsegment": pa.array([seg, seg])}),
+        tmp_path / "customer.parquet",
+    )
+    got = q_customer_order_full(str(tmp_path)).to_pandas().sort_values("custkey")
+    want = {
+        "orders": [[1, 0, -1.0, 100.0], [2, 0, -1.0, 200.0]],
+        "segment": [[1, 2, 20.0, -1.0], [5, 1, 7.5, -1.0]],
+    }[empty]
+    assert got[["custkey", "n_orders", "max_price", "acctbal"]].values.tolist() == want
+
+
 def test_doc_row_number_is_a_permutation_respecting_order(ray_session):
     from ocr_ray.pipelines.queries_web import q_doc_row_number
 

@@ -434,7 +434,8 @@ def test_bucket_ids_depend_only_on_key_values(rows, n_buckets):
     for the whole table, any batch split, and a many-chunk column; equal
     keys share a bucket; every id lies in [0, n_buckets).  Covers int
     (negative and extreme), string (non-ASCII, empty, null) and mixed
-    int x string two-key lanes."""
+    int x string two-key lanes; binary and large_binary keys bucket like
+    the string of the same bytes."""
     import pyarrow as pa
 
     from ocr_ray.stages.groupagg import bucket_ids
@@ -474,6 +475,10 @@ def test_bucket_ids_depend_only_on_key_values(rows, n_buckets):
             # a null string key buckets like ''
             key = tuple("" if v is None else v for v in key)
             assert seen.setdefault(key, b) == b
+    raw = [None if v is None else v.encode() for v in strs]
+    for typ in (pa.binary(), pa.large_binary()):
+        tb = pa.table({"k": pa.array(raw, typ)})
+        assert (bucket_ids(tb, ["k"], n_buckets) == bucket_ids(t, ["s"], n_buckets)).all()
 
 
 def test_bucket_ids_int_widths_and_spread():

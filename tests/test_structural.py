@@ -155,6 +155,10 @@ def _bucket_guard_findings(rel: str, tree) -> list:
                     and in_comp
                 ):
                     found.append((where, child.lineno, "zlib.crc32 per row"))
+                if f.attr == "join" and any(
+                    kw.arg == "num_partitions" for kw in child.keywords
+                ):
+                    found.append((where, child.lineno, "join(num_partitions=)"))
             visit(child, where, in_comp or isinstance(child, comps))
 
     visit(tree, None, False)
@@ -164,8 +168,10 @@ def _bucket_guard_findings(rel: str, tree) -> list:
 def test_one_keyed_bucket_shuffle():
     """Every hash-bucket ``groupby().map_groups()`` goes through
     ``stages/groupagg.bucketed_map_groups``: no ``_add_key_bucket``, no
-    ``groupby("...bucket...")`` and no per-row ``zlib.crc32`` comprehension
-    elsewhere in ``ocr_ray/``, except the allow-listed, reasoned sites."""
+    ``groupby("...bucket...")``, no per-row ``zlib.crc32`` comprehension and
+    no ``Dataset.join`` (a ``.join(...)`` with ``num_partitions=``; joins
+    are ``stages/joins.hash_join`` on the same shuffle) elsewhere in
+    ``ocr_ray/``, except the allow-listed, reasoned sites."""
     import ast
     import pathlib
 
@@ -189,7 +195,13 @@ def test_bucket_guard_catches_hand_rolled_copies():
         "def q(ds, n):\n"
         "    b = [zlib.crc32(str(v).encode()) % n for v in ds]\n"
         "    ds = joins._add_key_bucket(ds, key='k', n_buckets=n)\n"
+        "    out = ds.join(ds, join_type='inner', num_partitions=n, on=('k',))\n"
         "    return ds.groupby('__bucket').map_groups(f)\n"
     )
     found = {what for _, _, what in _bucket_guard_findings("pipelines/queries_x.py", ast.parse(src))}
-    assert found == {"_add_key_bucket", 'groupby("__bucket")', "zlib.crc32 per row"}
+    assert found == {
+        "_add_key_bucket",
+        'groupby("__bucket")',
+        "zlib.crc32 per row",
+        "join(num_partitions=)",
+    }
