@@ -20,7 +20,10 @@ def main(argv=None) -> int:
     ap.add_argument("--partitions", type=int, default=32, help="url-hash partitions (resume granule)")
     ap.add_argument("--mode", choices=("fused", "exploded"), default="fused")
     ap.add_argument("--footnote-mode", choices=("keep", "skip", "insert"), default="keep")
-    ap.add_argument("--batch-size", type=int, default=256)
+    ap.add_argument(
+        "--batch-size", type=int, default=None,
+        help="pages per extraction batch (default: run_extraction's)",
+    )
     ap.add_argument("--no-resume", action="store_true", help="ignore existing manifests")
     ap.add_argument("--num-cpus", type=int, default=None, help="local-mode CPU cap")
     args = ap.parse_args(argv)
@@ -38,14 +41,15 @@ def main(argv=None) -> int:
 
     from .pipelines.extraction import run_extraction
 
+    opts = {} if args.batch_size is None else {"batch_size": args.batch_size}
     stats = run_extraction(
         args.input,
         args.output,
         n_partitions=args.partitions,
         mode=args.mode,
         footnote_mode=args.footnote_mode,
-        batch_size=args.batch_size,
         resume=not args.no_resume,
+        **opts,
     )
     print(json.dumps(stats))
     ray.shutdown()

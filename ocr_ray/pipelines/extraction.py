@@ -2,7 +2,7 @@
 
     read_parquet(pages, columns=[url, html, lang])
       -> [resume] drop rows of committed partitions         # map-side filter
-      -> map_batches(extract_batch | PageExtractor)         # detect+extract
+      -> map_batches(extract_batch)                         # detect+extract
       -> map_batches(writer.write_block)                    # partitioned write
       -> groupby(partition_id) over the tiny stat partials  # one row each
       -> commit per-partition manifests
@@ -39,12 +39,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..sources.io import read_pages
-from ..stages.extract import (
-    BlockExtractor,
-    PageExtractor,
-    assemble_bucket,
-    extract_batch,
-)
+from ..stages.extract import BlockExtractor, assemble_bucket, extract_batch
 from ..stages.groupagg import bucketed_map_groups
 from ..state import manifest as mf
 from . import writer as wr
@@ -76,30 +71,21 @@ def extract_pages(
     footnote_mode: str = "keep",
     batch_size: int = 64,
     concurrency=None,
-    actors: bool = False,
 ) -> ray.data.Dataset:
     """pages Dataset -> EXTRACTED Dataset (no sink).
 
-    ``mode='fused'``: one row in, one row out, zero shuffles; stateless
-    tasks by default (``actors=True`` switches to a PageExtractor pool —
-    use when the extractor grows real per-actor state).
-    ``mode='exploded'``: block rows + groupby(url) reassembly — the north
-    rule's document-reassembly shuffle, byte-identical to fused.
+    ``mode='fused'``: one row in, one row out, zero shuffles, on stateless
+    tasks (``concurrency`` is unused there).
+    ``mode='exploded'``: block rows (a ``BlockExtractor`` actor pool of
+    ``concurrency`` actors) + groupby(url) reassembly — the north rule's
+    document-reassembly shuffle, byte-identical to fused.
     """
     if mode == "fused":
-        if not actors:
-            return ds.map_batches(
-                extract_batch,
-                fn_kwargs={"footnote_mode": footnote_mode},
-                batch_format="pyarrow",
-                batch_size=batch_size,
-            )
         return ds.map_batches(
-            PageExtractor,
-            fn_constructor_kwargs={"footnote_mode": footnote_mode},
+            extract_batch,
+            fn_kwargs={"footnote_mode": footnote_mode},
             batch_format="pyarrow",
             batch_size=batch_size,
-            concurrency=concurrency or default_concurrency(),
         )
     if concurrency is None:
         concurrency = default_concurrency()

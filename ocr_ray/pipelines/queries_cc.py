@@ -22,7 +22,7 @@ import ray.data
 from ray.data.aggregate import Min, Sum
 
 from ..sources.io import cpu_count, read_table, table_shuffle_blocks
-from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups
+from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups, group_topk
 from ..stages.joins import auto_join
 
 # paragraph contract shared with the SQL oracle: non-overlapping 10-word
@@ -172,26 +172,12 @@ SQL_PARAGRAPH_DEDUP = (
 def q_source_cap(sf_dir: str):
     """Per-source (per-domain) document cap: keep the first ``k`` docs per
     source by doc_id — the standard web-corpus guard against one domain
-    dominating the training mix.  Per-batch partial top-k per source (<= k
-    rows per (batch, source) survive the shuffle), then a tiny grouped
-    resolve over partials — a hot domain never lands as one whole task
-    (the stratified_sample shape)."""
+    dominating the training mix.  One ``groupagg.group_topk``: <= k rows
+    per (block, source) enter the shuffle, so a hot domain never lands as
+    one whole task."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "source"])
-    k = 10
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["source", "doc_id"]).groupby("source", sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def resolve(group: pa.Table) -> pa.Table:
-        return group.sort_by([("doc_id", "ascending")]).slice(0, k)
-
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(resolve, batch_format="pyarrow")
-        .select_columns(["doc_id", "source"])
+    return group_topk(ds, ["source"], [("doc_id", "ascending")], 10).select_columns(
+        ["doc_id", "source"]
     )
 
 
@@ -621,11 +607,9 @@ def q_tfidf_by_source(sf_dir: str):
     Scale shape: map-side (source, word) partial counts -> one
     groupby-sum to tf; df is a groupby-count over the tf table (vocab-
     sized, distributed); tf joins df via the size-planned auto_join
-    (broadcast when vocab is provably small); per-batch partial top-3 per
-    source then a tiny grouped resolve — no whole-source task, no driver
-    vocabulary."""
-    from ray.data.aggregate import Count
-
+    (broadcast when vocab is provably small); the top-3 per source and its
+    ``rank`` are one ``groupagg.group_topk`` — no whole-source task, no
+    driver vocabulary."""
     ds = read_table(sf_dir, "documents", columns=["source", "text"])
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -676,30 +660,9 @@ def q_tfidf_by_source(sf_dir: str):
     scored = auto_join(tf, df_tbl, on="word").map_batches(
         score, batch_format="pyarrow"
     )
-    k = 3
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = (
-            df.sort_values(["source", "score", "word"], ascending=[True, False, True])
-            .groupby("source", sort=False)
-            .head(k)
-        )
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def resolve(group: pa.Table) -> pa.Table:
-        df = group.to_pandas().sort_values(
-            ["score", "word"], ascending=[False, True]
-        ).head(k)
-        df["rank"] = np.arange(1, len(df) + 1, dtype=np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    return (
-        scored.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(resolve, batch_format="pyarrow")
-        .select_columns(["source", "word", "score", "rank"])
-    )
+    return group_topk(
+        scored, ["source"], [("score", "descending"), ("word", "ascending")], 3
+    ).select_columns(["source", "word", "score", "rank"])
 
 
 SQL_TFIDF_BY_SOURCE = (
@@ -984,13 +947,11 @@ def q_curation_neardup(sf_dir: str):
     source.  This is the composition a production curation run executes
     after quality filtering (corpus_curation covers the exact-dedup half).
 
-    Scale shape: the keep decision is a TAGGED UNION + one groupby(doc_id)
-    with native Max aggregates (no anti-join operator): tag 0 = corpus row
+    Scale shape: the keep decision is a TAGGED UNION + one bucketed
+    max fold by doc_id (no anti-join operator): tag 0 = corpus row
     (carries source), tag 1 = clustered, tag 2 = canonical; keep iff not
-    clustered or canonical.  The cap is per-batch partial top-k per source
-    + a tiny grouped resolve (source_cap shape)."""
-    from ray.data.aggregate import Count, Max
-
+    clustered or canonical.  The cap is one ``groupagg.group_topk`` (the
+    source_cap shape)."""
     from ..stages import dedup
 
     docs = read_table(
@@ -1080,22 +1041,9 @@ def q_curation_neardup(sf_dir: str):
         return batch.filter(mask).select(["doc_id", "source"])
 
     survivors = folded.map_batches(keep, batch_format="pyarrow")
-    k = 20
-
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas()
-        df = df.sort_values(["source", "doc_id"]).groupby("source", sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    def resolve(group: pa.Table) -> pa.Table:
-        return group.sort_by([("doc_id", "ascending")]).slice(0, k)
-
-    return (
-        survivors.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("source")
-        .map_groups(resolve, batch_format="pyarrow")
-        .select_columns(["doc_id", "source"])
-    )
+    return group_topk(
+        survivors, ["source"], [("doc_id", "ascending")], 20
+    ).select_columns(["doc_id", "source"])
 
 
 SQL_CURATION_NEARDUP = (

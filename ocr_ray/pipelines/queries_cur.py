@@ -15,6 +15,7 @@ from ..schema import list_column_matrix
 from ray.data.aggregate import Count, Min
 
 from ..sources.io import read_table
+from ..stages.groupagg import group_topk, topk_rows
 
 # ---------------------------------------------------------------------------
 # deterministic sampling (O7/O8: sampling as a first-class operator)
@@ -46,8 +47,10 @@ SQL_HASH_SAMPLE = (
 def q_knn_multi(sf_dir: str):
     """Top-5 cosine neighbors for each of 10 query vectors at once: the
     query matrix is broadcast (ray.put) and every batch does ONE [B,D]x[D,Q]
-    matmul — the batched-inference shape for embedding search.  Per-batch
-    per-query top-5 partials, then a small groupby-free global resolve."""
+    matmul — the batched-inference shape for embedding search.  Each batch
+    keeps its top-5 per query with ``groupagg.topk_rows`` over the [B*Q]
+    (qid, vec_id, cos) table, and one more ``topk_rows`` on the driver
+    resolves the Q * 5 * n_batches partial rows."""
     # predicate pushed into the parquet read: only the 10 query rows'
     # row groups reach the driver, never the whole embeddings table
     # (VERDICT r2 #3; same shape as queries._query_vector)
@@ -65,6 +68,7 @@ def q_knn_multi(sf_dir: str):
     qm = qm / np.linalg.norm(qm, axis=1, keepdims=True)
     q_ref = ray.put((q_ids, qm))
     k = 5
+    order = [("cos", "descending"), ("vec_id", "ascending")]
 
     def batch_topk(batch: pa.Table) -> pa.Table:
         qids, queries = ray.get(q_ref)
@@ -73,33 +77,23 @@ def q_knn_multi(sf_dir: str):
         norms = np.linalg.norm(emb, axis=1)
         norms[norms == 0] = 1.0
         cos = (emb / norms[:, None]) @ queries.T  # [B, Q] in one matmul
-        out_q, out_v, out_c = [], [], []
-        for qi in range(len(qids)):
-            top = np.argsort(-cos[:, qi], kind="stable")[:k]
-            out_q.extend([qids[qi]] * len(top))
-            out_v.extend(vids[top].tolist())
-            out_c.extend(cos[top, qi].tolist())
-        return pa.table(
+        pairs = pa.table(
             {
-                "qid": pa.array(out_q, pa.int64()),
-                "vec_id": pa.array(out_v, pa.int64()),
-                "cos": pa.array(out_c, pa.float64()),
+                "qid": pa.array(np.tile(np.asarray(qids, np.int64), len(vids))),
+                "vec_id": pa.array(np.repeat(vids, len(qids))),
+                "cos": pa.array(cos.ravel(), pa.float64()),
             }
         )
+        return topk_rows(pairs, ["qid"], order, k).drop_columns(["rank"])
 
     ds = ray.data.read_parquet(
         os.path.join(sf_dir, "embeddings.parquet"), columns=["vec_id", "embedding"]
     )
     partials = ds.map_batches(batch_topk, batch_format="pyarrow", batch_size=4096)
     # resolve partials: tiny table (Q * k * n_batches rows) -> top-k per qid
-    df = partials.to_pandas()
-    df = df.sort_values(["qid", "cos", "vec_id"], ascending=[True, False, True])
-    df = df.groupby("qid", sort=True).head(k)
-    return pa.table(
-        {
-            "qid": pa.array(df["qid"].tolist(), pa.int64()),
-            "vec_id": pa.array(df["vec_id"].tolist(), pa.int64()),
-        }
+    parts = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
+    return topk_rows(pa.concat_tables(parts), ["qid"], order, k).select(
+        ["qid", "vec_id"]
     )
 
 
@@ -486,32 +480,23 @@ def q_extract_exploded(sf_dir: str):
 def q_stratified_sample(sf_dir: str):
     """Deterministic STRATIFIED sample: the 20 smallest-hash docs per
     language (Knuth multiplicative hash, ties by doc_id) — per-group
-    quotas via PER-BATCH partial top-k per stratum (<= k rows per
-    (batch, lang) survive the shuffle — a dominant language at corpus
-    scale never lands as one whole-stratum task; VERDICT r2 #4), then a
-    tiny grouped resolve over the partials — the knn_multi shape, the
-    group-wise analog of hash_sample (O7/O8)."""
+    quotas as one ``groupagg.group_topk`` (<= k rows per (block, lang)
+    enter the shuffle, so a dominant language at corpus scale never lands
+    as one whole-stratum task; VERDICT r2 #4) — the group-wise analog of
+    hash_sample (O7/O8)."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "lang"])
-    k = 20
 
-    def partial_topk(batch: pa.Table) -> pa.Table:
-        ids = np.asarray(batch.column("doc_id").to_pylist(), dtype=np.int64)
+    def with_hkey(batch: pa.Table) -> pa.Table:
+        ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
         h = (ids * 2654435761) % 4294967296
-        df = batch.append_column("hkey", pa.array(h, pa.int64())).to_pandas()
-        df = df.sort_values(["lang", "hkey", "doc_id"]).groupby("lang", sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
+        return batch.append_column("hkey", pa.array(h, pa.int64()))
 
-    def top_k(group: pa.Table) -> pa.Table:
-        # resolve over <= k * n_batches partial rows per lang, never the
-        # stratum's full row set
-        out = group.sort_by([("hkey", "ascending"), ("doc_id", "ascending")])
-        return out.slice(0, k).select(["doc_id", "lang"])
-
-    return (
-        ds.map_batches(partial_topk, batch_format="pyarrow")
-        .groupby("lang")
-        .map_groups(top_k, batch_format="pyarrow")
-    )
+    return group_topk(
+        ds.map_batches(with_hkey, batch_format="pyarrow"),
+        ["lang"],
+        [("hkey", "ascending"), ("doc_id", "ascending")],
+        20,
+    ).select_columns(["doc_id", "lang"])
 
 
 SQL_STRATIFIED_SAMPLE = (

@@ -300,7 +300,9 @@ def _corr_by_nation(sf_dir: str, broadcast_limit: int | None = None):
     broadcast at 100 TB): while its parquet-metadata size is provably
     under the auto_join broadcast limit it travels once as sorted numpy
     arrays (validated searchsorted lookup, no shuffle); above the limit
-    the nationkey is attached through the size-planned hash join instead.
+    the nationkey is attached through a left-outer ``auto_join`` at the
+    same limit instead.  On both paths a lineitem whose suppkey has no
+    supplier raises.
     Nation names (25 rows, constant) stay a driver dict.  Each batch
     folds to <= 25 shifted-moment rows (n, sx, sy, sxx, syy, sxy) via
     bincount; the native aggregate sums <= 25 x n_blocks tiny rows and
@@ -341,14 +343,25 @@ def _corr_by_nation(sf_dir: str, broadcast_limit: int | None = None):
 
         with_nat = ds.map_batches(attach, batch_format="pyarrow")
     else:  # dimension too large to broadcast: size-planned join
+        def nationkey(batch: pa.Table) -> pa.Table:
+            nk = batch.column("s_nationkey")
+            if nk.null_count:  # the broadcast path's loud failure
+                miss = batch.column("l_suppkey").filter(pc.is_null(nk))
+                raise ValueError(
+                    f"l_suppkey(s) {miss[:3].to_pylist()} not present in supplier"
+                )
+            return batch.append_column(
+                "nationkey", pc.cast(nk, pa.int64())
+            ).drop_columns(["s_nationkey"])
+
         with_nat = auto_join(
-            ds, sup_ds, on="l_suppkey", right_on="s_suppkey"
-        ).map_batches(
-            lambda b: b.append_column(
-                "nationkey", pc.cast(b.column("s_nationkey"), pa.int64())
-            ).drop_columns(["s_nationkey"]),
-            batch_format="pyarrow",
-        )
+            ds,
+            sup_ds,
+            on="l_suppkey",
+            right_on="s_suppkey",
+            join_type="left_outer",
+            broadcast_limit=broadcast_limit,
+        ).map_batches(nationkey, batch_format="pyarrow")
 
     def moments(batch: pa.Table) -> pa.Table:
         g = batch.column("nationkey").to_numpy(zero_copy_only=False)
@@ -474,36 +487,20 @@ def q_mode_token_by_lang(sf_dir: str):
     — the mode / argmax aggregate, the categorical summary statistic.
 
     Scale shape: per-batch (lang, token) bincount partials, ONE
-    cardinality-bounded groupby sum, then a per-language vectorized argmax
-    inside ``map_groups`` (each group holds vocab-sized rows, never
-    corpus-sized)."""
+    cardinality-bounded bucketed sum, then the argmax as a k = 1
+    ``groupagg.group_topk`` by (n desc, token)."""
+    from ..stages.groupagg import bucketed_group_agg, group_topk
+
     ds = read_table(sf_dir, "documents", columns=["lang", "text"])
-
-    def argmax_group(group: pa.Table) -> pa.Table:
-        n = group.column("n").to_numpy(zero_copy_only=False)
-        toks = group.column("token").to_pandas()
-        order = np.lexsort((toks.to_numpy(), -n))
-        i = order[0]
-        return pa.table(
-            {
-                "lang": group.column("lang").slice(i, 1),
-                "token": group.column("token").slice(i, 1),
-                "n": pa.array([int(n[i])], pa.int64()),
-            }
-        )
-
-    from ..stages.groupagg import bucketed_group_agg
-
-    return (
-        # (lang, token) is vocab-cardinality: bucketed string-key fold (r5)
-        bucketed_group_agg(
-            ds.map_batches(_token_count_partial("lang"), batch_format="pyarrow"),
-            ["lang", "token"],
-            {"n": ("sum", "n")},
-        )
-        .groupby("lang")
-        .map_groups(argmax_group, batch_format="pyarrow")
+    # (lang, token) is vocab-cardinality: bucketed string-key fold (r5)
+    counts = bucketed_group_agg(
+        ds.map_batches(_token_count_partial("lang"), batch_format="pyarrow"),
+        ["lang", "token"],
+        {"n": ("sum", "n")},
     )
+    return group_topk(
+        counts, ["lang"], [("n", "descending"), ("token", "ascending")], 1
+    ).select_columns(["lang", "token", "n"])
 
 
 SQL_MODE_TOKEN_BY_LANG = (

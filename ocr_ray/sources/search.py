@@ -16,8 +16,9 @@ pluggable ranking backend:
   keeps only the top-``n`` host-deduped candidates (exact pruning: a
   host's global best url lives in exactly one batch, so a host outside
   that batch's top-``n`` cannot enter the global top-``n``), and one
-  tiny ``groupby(query_id)`` merges the partials.  The corpus never
-  lands on the driver.
+  keyed-bucket shuffle on ``query_id`` merges the partials with the same
+  two ``groupagg.topk_rows`` passes.  The corpus never lands on the
+  driver.
 - a real web engine would implement ``fetch_urls`` over HTTP through
   :class:`ocr_ray.sources.fetch.UrllibTransport` (default-off here:
   this sandbox has no network), composing with the same cache and the
@@ -95,11 +96,30 @@ class LocalCorpusBackend:
         self.corpus_factory = corpus_factory
 
     def fetch_urls(self, formatted_query: str, *, n: int = 5) -> list[str]:
+        import ray
+
         ds = rank_corpus(
             self.corpus_factory(), {0: query_terms(formatted_query)}, n=n
         )
-        tbl = ds.to_pandas().sort_values("rank")
-        return tbl["url"].tolist()
+        # no match leaves only empty blocks, which carry no schema
+        tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        if not tbls:
+            return []
+        return pa.concat_tables(tbls).sort_by("rank").column("url").to_pylist()
+
+
+#: result order within a query: score desc, then url asc (urls are unique)
+_ORDER = [("score", "descending"), ("url", "ascending")]
+
+
+def _best_n(cands: pa.Table, n: int) -> pa.Table:
+    """(query_id, host, url, score) rows -> each host's best url per query
+    (``topk_rows`` k = 1), then each query's top-``n`` of those, with the
+    1-based ``rank``."""
+    from ..stages.groupagg import topk_rows
+
+    best = topk_rows(cands, ["query_id", "host"], _ORDER, 1).drop_columns(["rank"])
+    return topk_rows(best, ["query_id"], _ORDER, n)
 
 
 def _score_partial(queries_ref, n: int):
@@ -125,11 +145,9 @@ def _score_partial(queries_ref, n: int):
             pc.list_element(pc.split_pattern(urls, "/", max_splits=3), 2),
             "//",
         )
-        is_pdf = pc.ends_with(urls, ".pdf")
-        out_q, out_h, out_u, out_s = [], [], [], []
-        url_np = np.asarray(urls.to_pylist(), dtype=object)
-        root_np = np.asarray(roots.to_pylist(), dtype=object)
-        pdf_np = np.asarray(is_pdf.to_pylist(), dtype=bool)
+        not_pdf = ~np.asarray(pc.ends_with(urls, ".pdf"), dtype=bool)
+        none = np.empty(0, np.int64)
+        rows, qids, scores = [none], [none], [none]
         for qid, terms in qs.items():
             if not terms:
                 continue
@@ -138,37 +156,22 @@ def _score_partial(queries_ref, n: int):
                 dtype=bool,
             )
             score = np.bincount(row_of[tmask], minlength=nrows)
-            cand = np.flatnonzero((score > 0) & ~pdf_np)
-            if cand.size == 0:
-                continue
-            # best per host inside the batch: sort by (root, -score, url)
-            # and keep each root's first row
-            order = sorted(
-                cand.tolist(),
-                key=lambda i: (root_np[i], -int(score[i]), url_np[i]),
-            )
-            seen: set = set()
-            best = []
-            for i in order:
-                if root_np[i] not in seen:
-                    seen.add(root_np[i])
-                    best.append(i)
-            # exact prune: only the batch's n best hosts can reach the
-            # global top-n (see module docstring)
-            best.sort(key=lambda i: (-int(score[i]), url_np[i]))
-            for i in best[:n]:
-                out_q.append(qid)
-                out_h.append(root_np[i])
-                out_u.append(url_np[i])
-                out_s.append(int(score[i]))
-        return pa.table(
+            cand = np.flatnonzero((score > 0) & not_pdf)
+            rows.append(cand)
+            qids.append(np.full(cand.size, qid, np.int64))
+            scores.append(score[cand])
+        take = pa.array(np.concatenate(rows))
+        cands = pa.table(
             {
-                "query_id": pa.array(out_q, pa.int64()),
-                "host": pa.array(out_h, pa.string()),
-                "url": pa.array(out_u, pa.string()),
-                "score": pa.array(out_s, pa.int64()),
+                "query_id": pa.array(np.concatenate(qids), pa.int64()),
+                "host": roots.take(take),
+                "url": urls.take(take),
+                "score": pa.array(np.concatenate(scores), pa.int64()),
             }
         )
+        # exact prune: only the batch's n best hosts can reach the global
+        # top-n (see module docstring)
+        return _best_n(cands, n).drop_columns(["rank"])
 
     return partial
 
@@ -180,10 +183,12 @@ def rank_corpus(corpus_ds, queries: dict[int, list[str]], *, n: int = 5):
     ``(query_id, rank, url, score)`` — ``rank`` is 1-based.
 
     Scale shape: queries broadcast once (``ray.put``), per-batch partials
-    carry <= n rows per (batch, query), and the final merge is a
-    ``groupby(query_id)`` over that bounded stream — group count =
-    #queries, so the native map_groups is the right tool."""
+    carry <= n rows per (batch, query), and the final merge runs the same
+    two ``topk_rows`` passes once per bucket of the keyed-bucket shuffle
+    on ``query_id``."""
     import ray
+
+    from ..stages.groupagg import bucketed_map_groups
 
     queries_ref = ray.put(
         {int(q): [str(t) for t in terms] for q, terms in queries.items()}
@@ -192,41 +197,10 @@ def rank_corpus(corpus_ds, queries: dict[int, list[str]], *, n: int = 5):
         _score_partial(queries_ref, n), batch_format="pyarrow"
     )
 
-    out_schema = pa.schema(
-        [
-            ("query_id", pa.int64()),
-            ("rank", pa.int64()),
-            ("url", pa.string()),
-            ("score", pa.int64()),
-        ]
-    )
+    def merge(bucket: pa.Table) -> pa.Table:
+        return _best_n(bucket, n).select(["query_id", "rank", "url", "score"])
 
-    def merge(group: pa.Table) -> pa.Table:
-        if group.num_rows == 0:
-            return out_schema.empty_table()
-        df = group.to_pandas()
-        df = df.sort_values(["host", "score", "url"], ascending=[True, False, True])
-        df = df.drop_duplicates("host", keep="first")
-        df = df.sort_values(["score", "url"], ascending=[False, True]).head(n)
-        return pa.table(
-            {
-                "query_id": pa.array(df["query_id"].to_numpy(np.int64)),
-                "rank": pa.array(
-                    np.arange(1, len(df) + 1, dtype=np.int64), pa.int64()
-                ),
-                "url": pa.array(df["url"].tolist(), pa.string()),
-                "score": pa.array(df["score"].to_numpy(np.int64)),
-            }
-        )
-
-    def norm(batch: pa.Table) -> pa.Table:
-        return out_schema.empty_table() if batch.num_columns == 0 else batch
-
-    return (
-        parts.groupby("query_id")
-        .map_groups(merge, batch_format="pyarrow")
-        .map_batches(norm, batch_format="pyarrow")
-    )
+    return bucketed_map_groups(parts, ["query_id"], merge)
 
 
 class SearchEngine:

@@ -7,9 +7,11 @@ Ray-idiomatic equivalent is a callable CLASS on an actor pool — setup in
 
 Two shapes are provided:
 
-- :class:`PageExtractor` — fused detect+extract: one pages row in, one
-  EXTRACTED row out.  The default path: no shuffle at all.
-- :class:`BlockExtractor` + :func:`assemble_group` — the exploded path:
+- :func:`extract_batch` — fused detect+extract on stateless tasks: one
+  pages row in, one EXTRACTED row out.  The default path: no shuffle at
+  all.
+- :class:`BlockExtractor` (an actor-pool callable) + :func:`assemble_group`
+  — the exploded path:
   stage 1 emits one row per paragraph block, a ``groupby('url')``
   reassembles documents in document order (the north rule's one true
   shuffle, SURVEY §2.6 G12).  Byte-identical to the fused path; used when
@@ -37,8 +39,8 @@ def extract_batch(
     import in each worker, so stateless tasks beat an actor pool: tasks
     start the moment blocks arrive instead of waiting on pool spin-up
     (~15% wall on a 32-CPU node).  Stages with real per-actor state (model
-    weights, vocabularies) should use the callable-class form
-    (:class:`PageExtractor`) on an actor pool.
+    weights, vocabularies) should use the callable-class form on an actor
+    pool, as :class:`BlockExtractor` does.
     """
     urls = batch.column("url").to_pylist()
     payloads = batch.column("html").to_pylist()
@@ -57,16 +59,6 @@ def extract_batch(
     return pa.Table.from_pylist(
         rows, schema=EXTRACTED_FULL if include_paragraphs else EXTRACTED
     )
-
-
-class PageExtractor:
-    """Actor-pool form of :func:`extract_batch` (setup once per actor)."""
-
-    def __init__(self, footnote_mode: str = "keep"):
-        self.footnote_mode = footnote_mode
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return extract_batch(batch, footnote_mode=self.footnote_mode)
 
 
 _BLOCK_SCHEMA = pa.schema(

@@ -247,3 +247,18 @@ def test_compact_skips_missing_partition_dir(ray_session, corpus, tmp_path_facto
     for pid in (0, 2, 3):
         pdir = os.path.join(out, "partition_id={}".format(pid))
         assert len([f for f in os.listdir(pdir) if f.endswith(".parquet")]) == 1
+
+
+def test_cli_batch_size_default_is_run_extractions(ray_session, monkeypatch):
+    """``python -m ocr_ray`` passes ``batch_size`` only when
+    ``--batch-size`` is given, so ``run_extraction``'s default is the one
+    default."""
+    from ocr_ray import __main__ as cli
+
+    seen = []
+    monkeypatch.setattr(ex, "run_extraction", lambda *a, **kw: seen.append(kw) or {})
+    monkeypatch.setattr(ray_session, "shutdown", lambda: None)
+    cli.main(["--input", "pages", "--output", "out"])
+    cli.main(["--input", "pages", "--output", "out", "--batch-size", "16"])
+    assert "batch_size" not in seen[0]
+    assert seen[1]["batch_size"] == 16

@@ -345,7 +345,8 @@ def test_corr_by_nation_join_fallback_matches_broadcast(ray_session):
 
 def test_corr_by_nation_unknown_suppkey_fails_loud(ray_session, tmp_path):
     """A lineitem suppkey missing from supplier must raise, not silently
-    attribute the row to a neighboring supplier's nation."""
+    attribute the row to a neighboring supplier's nation (broadcast path)
+    or drop it (join path, supplier over the broadcast limit)."""
     import os
     import shutil
 
@@ -353,7 +354,7 @@ def test_corr_by_nation_unknown_suppkey_fails_loud(ray_session, tmp_path):
     import pyarrow.parquet as pq
     import pytest
 
-    from ocr_ray.pipelines.queries_lake import q_corr_by_nation
+    from ocr_ray.pipelines.queries_lake import _corr_by_nation, q_corr_by_nation
 
     src = "/root/testdata/sf0.001"
     d = str(tmp_path / "sf")
@@ -368,3 +369,5 @@ def test_corr_by_nation_unknown_suppkey_fails_loud(ray_session, tmp_path):
     pq.write_table(li, os.path.join(d, "lineitem.parquet"))
     with pytest.raises(Exception, match="not present in supplier"):
         q_corr_by_nation(d).to_pandas()
+    with pytest.raises(Exception, match="not present in supplier"):
+        _corr_by_nation(d, broadcast_limit=0).to_pandas()

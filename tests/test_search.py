@@ -160,6 +160,17 @@ def test_rank_corpus_no_match_is_empty(ray_session):
     assert len(out) == 0
 
 
+def test_fetch_urls_no_match_is_empty(ray_session):
+    """No matching page leaves rank_corpus with only schema-less empty
+    blocks; the backend returns no urls instead of failing."""
+    backend = S.LocalCorpusBackend(lambda: _corpus(ray_session))
+    assert backend.fetch_urls("nothing") == []
+    assert backend.fetch_urls("hash join", n=2) == [
+        "https://a.example/p/1",
+        "https://b.example/p/1",
+    ]
+
+
 def test_rank_corpus_partial_pruning_is_exact(ray_session):
     """Many single-url hosts split across tiny blocks: per-batch top-n
     pruning must still produce the exact global top-n."""

@@ -1,9 +1,8 @@
-"""sources/io + actor-pool fused path tests."""
+"""sources/io tests."""
 
 import pyarrow.parquet as pq
 
-from ocr_ray import reference, synth
-from ocr_ray.pipelines import extraction as ex
+from ocr_ray import synth
 from ocr_ray.sources.io import read_pages, read_table
 
 
@@ -21,27 +20,6 @@ def test_read_table_column_pruning(ray_session):
     ds = read_table("/root/testdata/sf0.001", "documents", columns=["doc_id"])
     assert ds.schema().names == ["doc_id"]
     assert ds.count() == 500
-
-
-def test_actor_pool_fused_path_matches(ray_session):
-    """extract_pages(actors=True) — the PageExtractor pool — must produce
-    the same bytes as the stateless-task default."""
-    import pyarrow as pa
-    import ray.data
-
-    corpus = synth.synth_corpus(36)
-    oracle = reference.extract_table(corpus).sort_by("url")
-    ds = ex.extract_pages(
-        ray.data.from_arrow(corpus).repartition(4),
-        mode="fused",
-        actors=True,
-        concurrency=2,
-    )
-    got = pa.concat_tables(
-        t for t in (ray_session.get(r) for r in ds.to_arrow_refs()) if t.num_rows
-    )
-    got = got.select(oracle.column_names).cast(oracle.schema).sort_by("url")
-    assert got.equals(oracle)
 
 
 def test_sized_num_blocks_scales_with_bytes(ray_session):

@@ -159,6 +159,15 @@ def _bucket_guard_findings(rel: str, tree) -> list:
                     kw.arg == "num_partitions" for kw in child.keywords
                 ):
                     found.append((where, child.lineno, "join(num_partitions=)"))
+                grouped = f.value.value if isinstance(f.value, ast.Subscript) else f.value
+                if (
+                    f.attr == "head"
+                    and isinstance(grouped, ast.Call)
+                    and isinstance(grouped.func, ast.Attribute)
+                    and grouped.func.attr == "groupby"
+                    and rel != "stages/groupagg.py"
+                ):
+                    found.append((where, child.lineno, "groupby().head()"))
             visit(child, where, in_comp or isinstance(child, comps))
 
     visit(tree, None, False)
@@ -170,8 +179,10 @@ def test_one_keyed_bucket_shuffle():
     ``stages/groupagg.bucketed_map_groups``: no ``_add_key_bucket``, no
     ``groupby("...bucket...")``, no per-row ``zlib.crc32`` comprehension and
     no ``Dataset.join`` (a ``.join(...)`` with ``num_partitions=``; joins
-    are ``stages/joins.hash_join`` on the same shuffle) elsewhere in
-    ``ocr_ray/``, except the allow-listed, reasoned sites."""
+    are ``stages/joins.hash_join`` on the same shuffle) and no pandas
+    ``.groupby(...).head(...)`` (a hand-rolled grouped top-k; that is
+    ``groupagg.group_topk`` / ``topk_rows``) elsewhere in ``ocr_ray/``,
+    except the allow-listed, reasoned sites."""
     import ast
     import pathlib
 
@@ -196,6 +207,7 @@ def test_bucket_guard_catches_hand_rolled_copies():
         "    b = [zlib.crc32(str(v).encode()) % n for v in ds]\n"
         "    ds = joins._add_key_bucket(ds, key='k', n_buckets=n)\n"
         "    out = ds.join(ds, join_type='inner', num_partitions=n, on=('k',))\n"
+        "    top = df.sort_values(['g', 'v']).groupby('g', sort=False).head(3)\n"
         "    return ds.groupby('__bucket').map_groups(f)\n"
     )
     found = {what for _, _, what in _bucket_guard_findings("pipelines/queries_x.py", ast.parse(src))}
@@ -204,4 +216,5 @@ def test_bucket_guard_catches_hand_rolled_copies():
         'groupby("__bucket")',
         "zlib.crc32 per row",
         "join(num_partitions=)",
+        "groupby().head()",
     }
