@@ -3,9 +3,23 @@
 
 ``html.parser.HTMLParser`` is pure Python with per-character bookkeeping;
 for boilerplate-strip workloads a single compiled-regex scan over the
-document is ~3-5x faster and is what the hot path can afford at 100 TB
-(the reference leans on lxml's C parser for the same reason,
-html_parser.py:119-126).
+document is several times faster and is what the hot path can afford at
+100 TB (the reference leans on lxml's C parser for the same reason,
+html_parser.py:119-126).  The scan is one ``re.split``: the regex engine
+cuts the whole page into text and tokens, script/style raw text included,
+and Python only builds the tree.
+
+The build is linear in the page, whatever its nesting depth:
+
+- a per-tag count of the open elements sits beside the stack, so an
+  implicit ``</p>`` with no ``<p>`` open, or a close tag that matches no
+  open element, costs O(1); a close that matches pops exactly the elements
+  it closes, and each element is pushed and popped at most once;
+- attributes stay as the tag's raw source until the first ``Node.attrs``
+  read (only ``href`` and ``title`` are ever read, on few nodes);
+- ``unescape`` runs only on text that contains ``&``;
+- ``<title>`` elements are recorded in document order as they open, so the
+  title lookup needs no tree walk.
 
 Semantics are kept identical to the stdlib builder — same implicit-</p>
 handling, void tags, stray-close tolerance, entity unescaping, script/style
@@ -20,26 +34,26 @@ from __future__ import annotations
 import re
 from html import unescape
 
-# one token: comment | doctype/PI | close tag | open tag (quote-aware so a
-# '>' inside a quoted attribute value doesn't end the tag)
+_ATTRS = r"((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)"  # quote-aware: '>' in a value is kept
+
+# one token: comment | CDATA | doctype | PI | close tag (group 1) | script
+# or style with its raw text, up to the matching close or the end (2: set
+# for script, 3: attrs, 4: raw text) | open tag (5: name, 6: attrs)
 _TOKEN_RE = re.compile(
     r"<!--.*?-->"
     r"|<!\[CDATA\[.*?\]\]>"
     r"|<![^>]*>"
     r"|<\?[^>]*>"
     r"|</\s*([a-zA-Z][a-zA-Z0-9]*)[^>]*>"
-    r"|<([a-zA-Z][a-zA-Z0-9]*)((?:\"[^\"]*\"|'[^']*'|[^>\"'])*)>",
+    r"|<(?:([sS][cC][rR][iI][pP][tT])|[sS][tT][yY][lL][eE])(?![a-zA-Z0-9])" + _ATTRS + r">"
+    r"(.*?)(?:(?(2)(?i:</script[^>]*>)|(?i:</style[^>]*>))|\Z)"
+    r"|<([a-zA-Z][a-zA-Z0-9]*)" + _ATTRS + r">",
     re.DOTALL,
 )
 
 _ATTR_RE = re.compile(
     r"([a-zA-Z_:][-a-zA-Z0-9_:.]*)\s*(?:=\s*(\"[^\"]*\"|'[^']*'|[^\s\"'>]*))?"
 )
-
-_RAWTEXT_CLOSE = {
-    "script": re.compile(r"</script[^>]*>", re.IGNORECASE),
-    "style": re.compile(r"</style[^>]*>", re.IGNORECASE),
-}
 
 
 def _parse_attrs(raw: str) -> dict:
@@ -56,51 +70,55 @@ def _parse_attrs(raw: str) -> dict:
     return attrs
 
 
-def fast_parse(html: str, node_cls, void_tags, p_closers):
-    """html string -> node_cls tree (same shape as the stdlib builder)."""
-    root = node_cls("[document]")
+def pop_to(stack: list, open_n: dict, tag: str) -> None:
+    """Pop ``stack`` down to and including the innermost open ``tag``; a
+    no-op in O(1) when none is open (``open_n`` counts the open elements
+    per tag)."""
+    if open_n.get(tag):
+        while True:
+            popped = stack.pop().tag
+            open_n[popped] -= 1
+            if popped == tag:
+                return
+
+
+def fast_parse(html: str, root, node_cls, void_tags, p_closers):
+    """Parse ``html`` into ``root`` (same shape as the stdlib builder):
+    ``root.children`` gets the page's top-level nodes and ``root.titles``
+    its ``<title>`` nodes in document order.  Nodes are
+    ``node_cls(tag, raw_attribute_source, children)``.  Returns ``root``."""
+    titles = root.titles
     stack = [root]
-    pos = 0
-    n = len(html)
-    while pos < n:
-        m = _TOKEN_RE.search(html, pos)
-        if m is None:
-            if pos < n:
-                stack[-1].children.append(unescape(html[pos:]))
-            break
-        if m.start() > pos:
-            stack[-1].children.append(unescape(html[pos : m.start()]))
-        pos = m.end()
-        close_name, open_name, attr_raw = m.group(1), m.group(2), m.group(3)
+    kids = root.children  # children of the innermost open element
+    open_n: dict[str, int] = {}  # tag -> how many stack elements have it
+    # split: the text before the first token, then per token its 6 groups
+    # and the text after it
+    tokens = iter(_TOKEN_RE.split(html))
+    text = next(tokens)
+    if text:
+        kids.append(unescape(text) if "&" in text else text)
+    for close_name, script, raw_attrs, raw, open_name, attrs, text in zip(*[tokens] * 7):
         if close_name:
-            tag = close_name.lower()
-            for i in range(len(stack) - 1, 0, -1):
-                if stack[i].tag == tag:
-                    del stack[i:]
-                    break
-            continue
-        if not open_name:
-            continue  # comment / doctype / PI
-        tag = open_name.lower()
-        self_closing = attr_raw.rstrip().endswith("/")
-        if tag in p_closers:
-            for i in range(len(stack) - 1, 0, -1):
-                if stack[i].tag == "p":
-                    del stack[i:]
-                    break
-        node = node_cls(tag, _parse_attrs(attr_raw) if attr_raw.strip(" /") else {})
-        stack[-1].children.append(node)
-        if tag in _RAWTEXT_CLOSE:
-            # raw-text element: skip to the matching close, content becomes
-            # a single text child (html.parser CDATA-mode equivalent)
-            closer = _RAWTEXT_CLOSE[tag].search(html, pos)
-            if closer is None:
-                node.children.append(html[pos:])
-                pos = n
-            else:
-                node.children.append(html[pos : closer.start()])
-                pos = closer.end()
-            continue
-        if tag not in void_tags and not self_closing:
-            stack.append(node)
+            pop_to(stack, open_n, close_name.lower())
+            kids = stack[-1].children
+        elif open_name or raw is not None:
+            if raw is None:
+                tag = open_name.lower()
+            else:  # script / style: its raw text is its one child
+                tag = "script" if script else "style"
+                attrs = raw_attrs
+            if tag in p_closers:
+                pop_to(stack, open_n, "p")  # implicit </p>
+                kids = stack[-1].children
+            node = node_cls(tag, attrs, [] if raw is None else [raw])
+            kids.append(node)
+            if tag == "title":
+                titles.append(node)
+            if raw is None and tag not in void_tags and not attrs.rstrip().endswith("/"):
+                stack.append(node)
+                open_n[tag] = open_n.get(tag, 0) + 1
+                kids = node.children
+        # else: comment / doctype / PI
+        if text:
+            kids.append(unescape(text) if "&" in text else text)
     return root

@@ -22,25 +22,34 @@ it scores candidate DOM blocks with text-density / link-density heuristics
 Boilerpipe-style node scoring) and yields ``(char_start, char_end)`` intervals
 into the canonical document text — the 1-D analog of xyxy boxes.
 
+A page costs one token scan (``fast_html``), one tree build, one prune
+walk and one segment walk, each linear in the page and none recursive, so
+nesting depth costs memory, never the interpreter stack.  The builder
+records the ``<title>`` elements as they open; :func:`prepare_tree` is one
+iterative preorder walk that compacts every visited node's children in
+place (dropping the always-dropped subtrees and link-only ``<li>`` items)
+and notes the first surviving ``<header>`` and the last surviving
+``<footer>`` with their parents, so removing them needs no search.
+:func:`segment_blocks` takes each block's text and link characters from
+one walk of its subtree.
+
 Everything here is a pure function of the input string: deterministic,
 no globals, no I/O.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser as _StdHTMLParser
 
-_WS_RE = re.compile(r"\s+")
+from .fast_html import _parse_attrs, fast_parse, pop_to
 
 VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
 )
 DROP_TAGS = frozenset("head script style aside form nav".split())
-BLOCK_TAGS = (
-    "p", "ul", "ol", "h1", "h2", "h3", "h4", "h5", "table", "pre", "code",
-    "blockquote", "dl",
+BLOCK_TAGS = frozenset(
+    "p ul ol h1 h2 h3 h4 h5 table pre code blockquote dl".split()
 )
 # implicit close: opening any of these closes an open <p>
 _P_CLOSERS = frozenset(
@@ -49,61 +58,78 @@ _P_CLOSERS = frozenset(
 
 
 def collapse_ws(text: str) -> str:
-    """Whitespace collapse + strip (html_parser.py:221-227)."""
-    return _WS_RE.sub(" ", text).strip()
+    """Whitespace collapse + strip (html_parser.py:221-227).  ``str.split``
+    splits on exactly the characters the regex ``\\s`` matches in a str
+    pattern, so this is ``re.sub(r"\\s+", " ", text).strip()``."""
+    return " ".join(text.split())
 
 
-@dataclass
 class Node:
-    tag: str
-    attrs: dict = field(default_factory=dict)
-    children: list = field(default_factory=list)  # Node or str
+    """One element: ``tag``, ``attrs`` and ``children`` (Nodes and text
+    strings, in document order).  ``attrs`` may be given as the tag's raw
+    attribute source; it is then parsed on the first ``.attrs`` read.
+    Every walk below is iterative, so DOM depth is bounded by memory, not
+    the interpreter stack."""
+
+    __slots__ = ("tag", "_attrs", "children")
+
+    def __init__(self, tag: str, attrs=None, children=None):
+        self.tag = tag
+        self._attrs = "" if attrs is None else attrs
+        self.children = [] if children is None else children
+
+    @property
+    def attrs(self) -> dict:
+        a = self._attrs
+        if a.__class__ is str:
+            a = self._attrs = _parse_attrs(a) if a.strip(" /") else {}
+        return a
 
     def iter_text(self, parts: list):
-        for c in self.children:
-            if isinstance(c, str):
+        """Append every descendant text string to ``parts``, in order."""
+        stack = self.children[::-1]  # pending nodes and strings, next on top
+        while stack:
+            c = stack.pop()
+            if c.__class__ is str:
                 parts.append(c)
             else:
-                c.iter_text(parts)
+                stack += c.children[::-1]
 
     def get_text(self) -> str:
         parts: list[str] = []
         self.iter_text(parts)
-        text = collapse_ws(" ".join(parts))
-        if text:
-            return text
-        # fallback: join title attributes of descendants (html_parser.py:227)
-        titles: list[str] = []
-        self._collect_titles(titles)
-        return " ".join(titles)
+        return collapse_ws(" ".join(parts)) or self._title_text()
 
-    def _collect_titles(self, out: list):
-        t = self.attrs.get("title")
-        if t:
-            out.append(t)
-        for c in self.children:
-            if isinstance(c, Node):
-                c._collect_titles(out)
+    def _title_text(self) -> str:
+        """The text fallback: the ``title`` attributes of this node and its
+        descendants, in document order (html_parser.py:227)."""
+        return " ".join(
+            t for t in (n.attrs.get("title") for n in [self, *self.find_all(None)]) if t
+        )
 
     def find_all(self, tags) -> list["Node"]:
-        """Descendants whose tag is in ``tags``, in document (pre)order.
-        Iterative, so DOM depth is bounded by memory, not the stack."""
+        """Descendants whose tag is in ``tags`` (every descendant when
+        ``tags`` is None), in document (pre)order."""
         found: list[Node] = []
-        parents: list = []  # suspended child iterators of the ancestors
-        it = iter(self.children)
-        while True:
-            for c in it:
-                if isinstance(c, Node):
-                    if c.tag in tags:
-                        found.append(c)
-                    if c.children:
-                        parents.append(it)
-                        it = iter(c.children)
-                        break
-            else:
-                if not parents:
-                    return found
-                it = parents.pop()
+        stack = self.children[::-1]
+        while stack:
+            c = stack.pop()
+            if c.__class__ is not str:
+                if tags is None or c.tag in tags:
+                    found.append(c)
+                stack += c.children[::-1]
+        return found
+
+
+class Document(Node):
+    """A parsed page's root: also holds its ``<title>`` elements in
+    document order, recorded by the builder as they open."""
+
+    __slots__ = ("titles",)
+
+    def __init__(self):
+        super().__init__("[document]")
+        self.titles: list[Node] = []
 
 
 class _TreeBuilder(_StdHTMLParser):
@@ -111,63 +137,65 @@ class _TreeBuilder(_StdHTMLParser):
 
     def __init__(self):
         super().__init__(convert_charrefs=True)
-        self.root = Node("[document]")
-        self.stack = [self.root]
+        self.root = Document()
+        self.stack: list[Node] = [self.root]
+        self.open_n: dict[str, int] = {}
+
+    def _add(self, tag, attrs) -> Node:
+        node = Node(tag, dict(attrs))
+        self.stack[-1].children.append(node)
+        if tag == "title":
+            self.root.titles.append(node)
+        return node
 
     def handle_starttag(self, tag, attrs):
         if tag in _P_CLOSERS:
-            # implicit </p>
-            for i in range(len(self.stack) - 1, 0, -1):
-                if self.stack[i].tag == "p":
-                    del self.stack[i:]
-                    break
-        node = Node(tag, dict(attrs))
-        self.stack[-1].children.append(node)
+            pop_to(self.stack, self.open_n, "p")  # implicit </p>
+        node = self._add(tag, attrs)
         if tag not in VOID_TAGS:
             self.stack.append(node)
+            self.open_n[tag] = self.open_n.get(tag, 0) + 1
 
     def handle_startendtag(self, tag, attrs):
-        self.stack[-1].children.append(Node(tag, dict(attrs)))
+        self._add(tag, attrs)
 
     def handle_endtag(self, tag):
-        for i in range(len(self.stack) - 1, 0, -1):
-            if self.stack[i].tag == tag:
-                del self.stack[i:]
-                return
-        # stray close tag: ignore
+        pop_to(self.stack, self.open_n, tag)  # a stray close tag is ignored
 
     def handle_data(self, data):
         if data:
             self.stack[-1].children.append(data)
 
 
-def parse_html_stdlib(html: str) -> Node:
+def parse_html_stdlib(html: str) -> Document:
     builder = _TreeBuilder()
     builder.feed(html)
     builder.close()
     return builder.root
 
 
-def parse_html(html: str) -> Node:
+def parse_html(html: str) -> Document:
     """Parse to a Node tree: fast regex tokenizer by default
-    (ocr_ray.fast_html, ~4x the stdlib parser), stdlib fallback via
-    ``OCR_RAY_SLOW_HTML=1``.  Both builders are equivalence-tested to
-    byte-identical extraction (tests/test_fast_html.py)."""
+    (ocr_ray.fast_html; 3.7-4.5x the stdlib builder's parse rate over the
+    3,110 HTML pages of the benchmark's ``cc_mixed_resume`` seed 41, one
+    core), stdlib fallback via ``OCR_RAY_SLOW_HTML=1``.  Both builders are
+    equivalence-tested to byte-identical extraction
+    (tests/test_fast_html.py)."""
     import os
 
     if os.environ.get("OCR_RAY_SLOW_HTML"):
         return parse_html_stdlib(html)
-    from .fast_html import fast_parse
-
-    return fast_parse(html, Node, VOID_TAGS, _P_CLOSERS)
+    return fast_parse(html, Document(), Node, VOID_TAGS, _P_CLOSERS)
 
 
 # ---------------------------------------------------------------------------
 # prepare: boilerplate strip (html_parser.py:56-93)
 # ---------------------------------------------------------------------------
 
-def extract_title(root: Node) -> str:
-    for t in root.find_all(("title",)):
+def extract_title(root: Document) -> str:
+    """The first non-empty ``<title>`` text, from the titles the builder
+    recorded (call before :func:`prepare_tree` prunes the tree)."""
+    for t in root.titles:
         text = t.get_text()
         if text:
             return text
@@ -209,14 +237,20 @@ def extract_tables(html: str) -> list:
 
 def _is_link_item(node: Node) -> bool:
     """<li> wrapping only a link (html_parser.py:174-175)."""
-    if node.tag != "li":
-        return False
-    kids = [c for c in node.children if isinstance(c, Node) or collapse_ws(c)]
-    return len(kids) == 1 and isinstance(kids[0], Node) and kids[0].tag == "a"
+    kid = None
+    for c in node.children:
+        if c.__class__ is str:
+            if not c.strip():  # the same whitespace as collapse_ws' \s
+                continue
+            return False
+        if kid is not None:
+            return False
+        kid = c
+    return kid is not None and kid.tag == "a"
 
 
 def prepare_tree(
-    root: Node,
+    root: Document,
     *,
     skip_header: bool = True,
     skip_footer: bool = True,
@@ -226,42 +260,51 @@ def prepare_tree(
 
     Mirrors prepare_html (html_parser.py:56-93): head/script/style/aside/
     form/nav always dropped; first <header>, last <footer>; link-only <li>.
+
+    One iterative preorder walk filters every visited node's children and
+    notes, with its parent, the first surviving <header> (not descended:
+    it goes whole, so a footer inside it does not count) and the last
+    surviving <footer>; both are removed after the walk.
     """
     title = extract_title(root)
-
-    def prune(node: Node):
-        kept = []
-        for c in node.children:
-            if isinstance(c, Node):
-                if c.tag in DROP_TAGS:
+    header = footer = None  # (parent, node)
+    # Each visited node's children are compacted in place (kids[:w] kept);
+    # the walk holds no per-node objects, so deep pages stay cheap for the
+    # cyclic GC.  ``stack`` holds (node, i, w) of the suspended ancestors.
+    stack: list = []
+    node, i, w = root, 0, 0
+    while True:
+        kids = node.children
+        while i < len(kids):
+            c = kids[i]
+            i += 1
+            if c.__class__ is not str:
+                tag = c.tag
+                if tag in DROP_TAGS or (skip_link_item and tag == "li" and _is_link_item(c)):
                     continue
-                if skip_link_item and _is_link_item(c):
-                    continue
-                prune(c)
-            kept.append(c)
-        node.children = kept
-
-    prune(root)
-
-    if skip_header:
-        headers = root.find_all(("header",))
-        if headers:
-            _remove_node(root, headers[0])
-    if skip_footer:
-        footers = root.find_all(("footer",))
-        if footers:
-            _remove_node(root, footers[-1])
+                if tag == "header" and skip_header and header is None:
+                    header = (node, c)  # removed whole after the walk
+                else:
+                    if tag == "footer":
+                        footer = (node, c)
+                    if c.children:
+                        kids[w] = c
+                        stack += (node, i, w + 1)
+                        node, i, w = c, 0, 0
+                        break
+            kids[w] = c
+            w += 1
+        else:
+            del kids[w:]
+            if not stack:
+                break
+            w = stack.pop()
+            i = stack.pop()
+            node = stack.pop()
+    for found, skip in ((header, skip_header), (footer, skip_footer)):
+        if found and skip:
+            found[0].children.remove(found[1])
     return title
-
-
-def _remove_node(root: Node, target: Node) -> bool:
-    for i, c in enumerate(root.children):
-        if c is target:
-            del root.children[i]
-            return True
-        if isinstance(c, Node) and _remove_node(c, target):
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +316,26 @@ class Block:
     block_id: int
     kind: str            # text|code|table|list|heading|chrome
     node: Node
-    dom_path: str
+    # (parent path, tag, index among same-tag siblings); out of the repr,
+    # whose nested-tuple recursion a deep page would exhaust
+    path: tuple = field(repr=False)
     text: str = ""       # node.get_text(), computed once at segmentation
     char_start: int = 0
     char_end: int = 0
     text_density: float = 0.0
     link_density: float = 0.0
     score: float = 0.0
+
+    @property
+    def dom_path(self) -> str:
+        """``/tag[i]/...`` from the root; rendered on read, so a deep page
+        pays O(depth) per read, not per block at segmentation."""
+        steps = []
+        p = self.path
+        while p:
+            p, tag, i = p
+            steps.append("/{}[{}]".format(tag, i))
+        return "".join(reversed(steps))
 
 
 _HEADINGS = frozenset(("h1", "h2", "h3", "h4", "h5"))
@@ -297,15 +353,23 @@ def _kind_of(tag: str) -> str:
     return "text"
 
 
-def _link_chars(node: Node) -> int:
-    n = 0
-    for c in node.children:
-        if isinstance(c, Node):
-            if c.tag == "a":
-                n += len(c.get_text())
-            else:
-                n += _link_chars(c)
-    return n
+def _text_and_links(node: Node) -> tuple:
+    """``(node.get_text(), link chars)`` from one walk of the subtree; link
+    chars sum ``len(a.get_text())`` over the outermost ``<a>`` elements."""
+    parts: list[str] = []
+    link_n = 0
+    stack = node.children[::-1]
+    while stack:
+        c = stack.pop()
+        if c.__class__ is str:
+            parts.append(c)
+        elif c.tag == "a":
+            start = len(parts)
+            c.iter_text(parts)
+            link_n += len(collapse_ws(" ".join(parts[start:])) or c._title_text())
+        else:
+            stack += c.children[::-1]
+    return collapse_ws(" ".join(parts)) or node._title_text(), link_n
 
 
 def segment_blocks(root: Node, *, max_blocks: int = 10_000) -> list[Block]:
@@ -320,38 +384,47 @@ def segment_blocks(root: Node, *, max_blocks: int = 10_000) -> list[Block]:
     """
     blocks: list[Block] = []
     cursor = 0  # running char offset into the canonical document text
-
-    def walk(node: Node, path: str, depth: int):
-        nonlocal cursor
-        counters: dict[str, int] = {}
-        for c in node.children:
-            if not isinstance(c, Node):
+    # ``stack`` holds (children, next index, path, tag counters) of the
+    # suspended ancestors; ``path`` is a (parent path, tag, index) chain.
+    stack: list = []
+    kids, i, path, counters = root.children, 0, None, {}
+    while True:
+        while i < len(kids):
+            c = kids[i]
+            i += 1
+            if c.__class__ is str:
                 continue
-            counters[c.tag] = counters.get(c.tag, 0) + 1
-            cpath = "{}/{}[{}]".format(path, c.tag, counters[c.tag])
-            if c.tag in BLOCK_TAGS:
-                if len(blocks) >= max_blocks:
-                    return
-                text = c.get_text()
-                n = len(text)
-                link_n = _link_chars(c)
-                kind = _kind_of(c.tag)
-                link_density = (link_n / n) if n else 0.0
-                # words per char-of-markup proxy: plain length-normalized density
-                text_density = min(1.0, n / 400.0)
-                if kind == "heading":
-                    score = 0.5
-                elif n == 0:
-                    score = 0.0
-                else:
-                    score = max(0.0, (1.0 - link_density) * (0.35 + 0.65 * text_density))
-                if kind == "text" and link_density > 0.65 and n < 200:
-                    kind = "chrome"
-                b = Block(
+            tag = c.tag
+            k = counters[tag] = counters.get(tag, 0) + 1
+            if tag not in BLOCK_TAGS:
+                if c.children:
+                    stack += (kids, i, path, counters)
+                    kids, i, path, counters = c.children, 0, (path, tag, k), {}
+                    break
+                continue
+            # a block: tables/lists/pre are atomic, so never descended
+            if len(blocks) >= max_blocks:
+                return blocks
+            text, link_n = _text_and_links(c)
+            n = len(text)
+            kind = _kind_of(tag)
+            link_density = (link_n / n) if n else 0.0
+            # words per char-of-markup proxy: plain length-normalized density
+            text_density = min(1.0, n / 400.0)
+            if kind == "heading":
+                score = 0.5
+            elif n == 0:
+                score = 0.0
+            else:
+                score = max(0.0, (1.0 - link_density) * (0.35 + 0.65 * text_density))
+            if kind == "text" and link_density > 0.65 and n < 200:
+                kind = "chrome"
+            blocks.append(
+                Block(
                     block_id=len(blocks),
                     kind=kind,
                     node=c,
-                    dom_path=cpath,
+                    path=(path, tag, k),
                     text=text,
                     char_start=cursor,
                     char_end=cursor + n,
@@ -359,14 +432,15 @@ def segment_blocks(root: Node, *, max_blocks: int = 10_000) -> list[Block]:
                     link_density=link_density,
                     score=score,
                 )
-                cursor += n + 1
-                blocks.append(b)
-                # tables/lists/pre are atomic; don't descend further
-                continue
-            walk(c, cpath, depth + 1)
-
-    walk(root, "", 0)
-    return blocks
+            )
+            cursor += n + 1
+        else:
+            if not stack:
+                return blocks
+            counters = stack.pop()
+            path = stack.pop()
+            i = stack.pop()
+            kids = stack.pop()
 
 
 # ---------------------------------------------------------------------------

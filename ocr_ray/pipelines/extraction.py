@@ -4,7 +4,7 @@
       -> [resume] drop rows of committed partitions         # map-side filter
       -> map_batches(extract_batch)                         # detect+extract
       -> map_batches(writer.write_block)                    # partitioned write
-      -> groupby(partition_id) over the tiny stat partials  # one row each
+      -> driver-side fold of the tiny stat partials         # no shuffle
       -> commit per-partition manifests
 
 Design notes for 100 TB (SURVEY §4):
@@ -187,7 +187,8 @@ def _input_partition_digests(source, n_partitions: int) -> dict[int, str]:
             wr.block_stats,
             fn_kwargs={"key": "url", "n_partitions": n_partitions},
             batch_format="pyarrow",
-        )
+        ),
+        n_partitions,
     )
     return {int(r["partition_id"]): wr.digest_hex(r["key_sum"]) for r in rows}
 

@@ -15,8 +15,9 @@ every output gets the same guarantees:
 Each write task sorts its block by partition id once, writes each
 partition's slice (zero-copy after the one ``take``) with its format's
 writer, and folds a tiny per-partition stat partial with
-``np.add.reduceat``; one groupby over the partials yields one row per
-partition, so only ``<= n_partitions`` stat rows ever reach the driver.
+``np.add.reduceat``; the driver streams the partials and adds them into
+dense per-partition arrays (:func:`fold_partials`), so the fold needs no
+shuffle and O(``n_partitions``) memory.
 """
 
 from __future__ import annotations
@@ -212,26 +213,28 @@ def write_block(
     return partial
 
 
-def _combine_partials(group: pa.Table) -> pa.Table:
-    """Fold one partition's stat partials (sums wrap mod 2^64)."""
-    return pa.table(
-        [
-            group.column("partition_id").slice(0, 1),
-            [group.column("n_rows").to_numpy().sum(keepdims=True)],
-            [group.column("key_sum").to_numpy().sum(dtype=np.uint64, keepdims=True)],
-            [group.column("digest_sum").to_numpy().sum(dtype=np.uint64, keepdims=True)],
-        ],
-        schema=STATS_SCHEMA,
-    )
-
-
-def fold_partials(partials: ray.data.Dataset) -> list[dict]:
-    """One folded STATS_SCHEMA row per partition present in ``partials``."""
-    return (
-        partials.groupby("partition_id")
-        .map_groups(_combine_partials, batch_format="pyarrow")
-        .take_all()  # <= n_partitions rows
-    )
+def fold_partials(partials: ray.data.Dataset, n_partitions: int) -> list[dict]:
+    """One folded STATS_SCHEMA row per partition present in ``partials``,
+    by partition id.  A streaming fold at the driver: each partial block is
+    added into dense per-partition arrays (``np.add.at``; the uint64 sums
+    wrap mod 2^64), so memory is O(``n_partitions``) and no shuffle runs."""
+    n_rows = np.zeros(n_partitions, np.int64)
+    key_sum = np.zeros(n_partitions, np.uint64)
+    digest_sum = np.zeros(n_partitions, np.uint64)
+    present = np.zeros(n_partitions, bool)
+    for batch in partials.iter_batches(batch_format="pyarrow", batch_size=None):
+        if not batch.num_rows:
+            continue
+        pids = batch.column("partition_id").to_numpy()
+        np.add.at(n_rows, pids, batch.column("n_rows").to_numpy())
+        np.add.at(key_sum, pids, batch.column("key_sum").to_numpy())
+        np.add.at(digest_sum, pids, batch.column("digest_sum").to_numpy())
+        present[pids] = True
+    return [
+        {"partition_id": p, "n_rows": int(n_rows[p]),
+         "key_sum": int(key_sum[p]), "digest_sum": int(digest_sum[p])}
+        for p in np.flatnonzero(present).tolist()
+    ]
 
 
 def write_and_fold(
@@ -254,7 +257,8 @@ def write_and_fold(
             },
             batch_format="pyarrow",
             batch_size=None,
-        )
+        ),
+        n_partitions,
     )
 
 

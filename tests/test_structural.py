@@ -218,3 +218,69 @@ def test_bucket_guard_catches_hand_rolled_copies():
         "join(num_partitions=)",
         "groupby().head()",
     }
+
+
+def _self_calls(tree) -> list:
+    """Names of the functions in ``tree`` that call themselves by name (as
+    ``f(...)`` or ``x.f(...)``, not ``super().f(...)``), including nested
+    functions."""
+    import ast
+
+    def is_super(f):
+        return isinstance(f, ast.Call) and getattr(f.func, "id", None) == "super"
+
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call):
+                    f = node.func
+                    if isinstance(f, ast.Name):
+                        name = f.id
+                    elif isinstance(f, ast.Attribute) and not is_super(f.value):
+                        name = f.attr
+                    else:
+                        continue
+                    if name == fn.name:
+                        found.append(fn.name)
+                        break
+    return found
+
+
+def test_html_front_end_has_no_recursion():
+    """The HTML front end walks DOM trees of any depth, so none of its
+    functions may recurse: nesting depth must cost memory, never the
+    interpreter stack."""
+    import ast
+    import pathlib
+
+    import ocr_ray
+
+    root = pathlib.Path(ocr_ray.__file__).parent
+    bad = [
+        "{}: {}".format(name, fn)
+        for name in ("html_extract.py", "fast_html.py")
+        for fn in _self_calls(ast.parse((root / name).read_text()))
+    ]
+    assert not bad, "recursive functions:\n" + "\n".join(bad)
+
+
+def test_recursion_guard_catches_self_calls():
+    import ast
+
+    src = (
+        "class Node:\n"
+        "    def iter_text(self, parts):\n"
+        "        for c in self.children:\n"
+        "            c.iter_text(parts)\n"
+        "def prepare(root):\n"
+        "    def prune(node):\n"
+        "        [prune(c) for c in node.children]\n"
+        "    prune(root)\n"
+        "class Doc(Node):\n"
+        "    def iter_text(self, parts):\n"
+        "        super().iter_text(parts)\n"
+        "def flat(node):\n"
+        "    return list(node.children)\n"
+    )
+    assert _self_calls(ast.parse(src)) == ["iter_text", "prune"]

@@ -4,6 +4,7 @@ import os
 
 import pyarrow as pa
 import ray.data
+from hypothesis import given, settings, strategies as st
 
 from ocr_ray.pipelines import writer
 from ocr_ray.state import manifest as mf
@@ -251,3 +252,40 @@ def test_block_fold_matches_python_loop():
     pids = [zlib.crc32(u.encode("utf-8")) % 7 for u in urls]
     assert [urls[i] for i in order] == [u for _, u in sorted(zip(pids, urls), key=lambda t: t[0])]
     assert [pids[order[s]] for s in starts] == sorted(want)
+
+
+@st.composite
+def _stat_partials(draw):
+    """1-24 STATS_SCHEMA partial blocks (some empty) over <= 40 partitions,
+    with sums drawn anywhere in uint64 and near 2^64, so folds wrap."""
+    n_partitions = draw(st.integers(1, 40))
+    sums = st.one_of(st.integers(0, writer._U64), st.integers(writer._U64 - 1000, writer._U64))
+    blocks = []
+    for _ in range(draw(st.integers(1, 24))):
+        rows = draw(st.lists(
+            st.tuples(st.integers(0, n_partitions - 1), st.integers(1, 1000), sums, sums),
+            max_size=8,
+        ))
+        cols = list(zip(*rows)) if rows else [[], [], [], []]
+        blocks.append(pa.table([list(c) for c in cols], schema=writer.STATS_SCHEMA))
+    return n_partitions, blocks
+
+
+@settings(max_examples=25, deadline=None)
+@given(_stat_partials())
+def test_fold_partials_matches_python_fold(ray_session, case):
+    """The driver-side fold equals a pure-Python fold: one row per
+    partition present, in partition order, sums wrapping mod 2^64."""
+    n_partitions, blocks = case
+    want: dict = {}
+    for block in blocks:
+        for r in block.to_pylist():
+            n, ks, ds = want.get(r["partition_id"], (0, 0, 0))
+            want[r["partition_id"]] = (
+                n + r["n_rows"],
+                (ks + r["key_sum"]) & writer._U64,
+                (ds + r["digest_sum"]) & writer._U64,
+            )
+    got = writer.fold_partials(ray.data.from_arrow(blocks), n_partitions)
+    assert [r["partition_id"] for r in got] == sorted(want)
+    assert {r["partition_id"]: (r["n_rows"], r["key_sum"], r["digest_sum"]) for r in got} == want
