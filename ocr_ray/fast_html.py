@@ -107,14 +107,16 @@ def fast_parse(html: str, root, node_cls, void_tags, p_closers):
             else:  # script / style: its raw text is its one child
                 tag = "script" if script else "style"
                 attrs = raw_attrs
-            if tag in p_closers:
+            # <x/> closes no <p> and opens nothing (html.parser's startendtag)
+            self_closed = raw is None and attrs.rstrip().endswith("/")
+            if tag in p_closers and not self_closed:
                 pop_to(stack, open_n, "p")  # implicit </p>
                 kids = stack[-1].children
             node = node_cls(tag, attrs, [] if raw is None else [raw])
             kids.append(node)
             if tag == "title":
                 titles.append(node)
-            if raw is None and tag not in void_tags and not attrs.rstrip().endswith("/"):
+            if raw is None and tag not in void_tags and not self_closed:
                 stack.append(node)
                 open_n[tag] = open_n.get(tag, 0) + 1
                 kids = node.children

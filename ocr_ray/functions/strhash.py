@@ -1,6 +1,10 @@
 """Vectorized 64/128-bit content hashing over Arrow string arrays.
 
-Shared kernel for the hash-keyed dedup shuffles (``paragraph_dedup``,
+:func:`key_hash` is THE row-key hash: every shuffle bucket
+(``groupagg.bucket_ids``), every partition id of the partitioned writer
+and the manifest key digest are this one value.
+
+Also the shared kernel for the hash-keyed dedup shuffles (``paragraph_dedup``,
 ``substring_dedup`` in pipelines/queries_cc.py): at web scale the
 groupby/join key for window-level dedup must be a FIXED-WIDTH content
 hash, never the window text — raw 10-word windows are ~8x corpus bytes
@@ -25,6 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 _FNV_PRIME = np.uint64(0x100000001B3)
 _LEN_MULT = np.uint64(0x9E3779B97F4A7C15)
@@ -89,6 +94,38 @@ def hash_strings_u64(arr: pa.Array, seed: int) -> np.ndarray:
     cs = np.concatenate([np.zeros(1, np.uint64), np.cumsum(contrib, dtype=np.uint64)])
     tok = cs[cum[1:]] - cs[cum[:-1]]
     return _splitmix64(tok ^ h0)
+
+
+def key_hash(table: pa.Table, keys: list[str]) -> np.ndarray:
+    """THE row-key hash: one uint64 per row of ``table`` from the values of
+    ``keys`` alone (never the batch split or chunk layout).  Shuffle
+    buckets (``groupagg.bucket_ids``), partition ids and the manifest key
+    digest (``pipelines.writer``) are all this value, so its definition is
+    a persisted format (``state.manifest.PARTITION_HASH``).
+
+    Integer keys are taken as uint64 (two's complement for negatives;
+    nulls as 0), string and binary keys through :func:`hash_strings_u64`
+    with ``SEED_A`` (nulls hash like ``''``).  Lanes fold as
+    ``h * FNV_PRIME + lane`` from 0, and the fold is mixed once with
+    splitmix64 so dense ids spread evenly."""
+    h = np.zeros(table.num_rows, dtype=np.uint64)
+    for k in keys:
+        col = table.column(k)
+        t = col.type
+        if (
+            pa.types.is_string(t)
+            or pa.types.is_large_string(t)
+            or pa.types.is_binary(t)
+            or pa.types.is_large_binary(t)
+        ):
+            lane = hash_strings_u64(pc.fill_null(col, pa.scalar(b"", t)), SEED_A)
+        elif pa.types.is_integer(t):
+            lane = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
+            lane = lane.astype(np.int64).view(np.uint64)
+        else:
+            raise TypeError(f"hash key {k!r} must be integer, string or binary, not {t}")
+        h = h * _FNV_PRIME + lane
+    return _splitmix64(h)
 
 
 def pack_u64_pair(h1: np.ndarray, h2: np.ndarray) -> pa.Array:

@@ -13,13 +13,16 @@ Design notes for 100 TB (SURVEY §4):
   shuffle; the only wide op in the exploded variant is the url-bucket
   reassembly shuffle over *post-extraction* text rows (small relative to
   the input payloads).
-- ``partition_id = crc32(url) % P`` breaks host-level clustering (hot hosts
+- ``partition_id = key_hash(url) % P`` (``functions.strhash.key_hash``, the
+  hash of every shuffle bucket too) breaks host-level clustering (hot hosts
   arrive contiguously in crawl order); P is the resume granule, sized so a
-  partition ≈ a few GB at production scale.
+  partition ≈ a few GB at production scale.  Each manifest entry records
+  the hash (``manifest.PARTITION_HASH``), so output written under another
+  layout is rewritten, never trusted.
 - the write is :mod:`ocr_ray.pipelines.writer`'s, shared with every other
   partitioned output: each task sorts its block by partition id once,
   writes one file per partition it holds under ``partition_id=N/`` and
-  folds (rows, url crc32 sum, digest sum) per partition.  Files are named
+  folds (rows, url key-hash sum, digest sum) per partition.  Files are named
   ``part-<task id>-<attempt salt>-<per-task sequence>.parquet``, so two
   blocks never share a name — even when they carry the same urls for a
   partition (a recrawl) — and a retried task sweeps its failed attempt's

@@ -3,8 +3,9 @@
 corpora, per-source samples) both write through :func:`write_block`, so
 every output gets the same guarantees:
 
-- output lands as ``partition_id=N/`` directories (key-hash partitioned,
-  deterministic), never one giant file;
+- output lands as ``partition_id=N/`` directories, never one giant file;
+  a row's partition id is ``strhash.key_hash`` of its key mod
+  ``n_partitions`` (deterministic; the same hash as every shuffle bucket);
 - each finished partition commits a lineage manifest row (rows, input and
   output digests) atomically AFTER its files land (state/manifest.py);
 - a rerun skips committed partitions with a map-side filter against the
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import os
 import shutil
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -32,12 +32,15 @@ import pyarrow.parquet as pq
 import ray
 import ray.data
 
+from ..functions.strhash import key_hash
 from ..state import manifest as mf
 
 _U64 = (1 << 64) - 1
 
 #: stat partial / folded stat row: rows, key digest and output digest per
-#: partition; digests are sums mod 2^64 (manifest.combine_digests' rule)
+#: partition; the key digest sums the rows' ``key_hash`` values and the
+#: output digest the 64-bit prefixes of their hex digests, both mod 2^64
+#: (manifest.combine_digests' rule)
 STATS_SCHEMA = pa.schema(
     [
         ("partition_id", pa.int64()),
@@ -46,30 +49,6 @@ STATS_SCHEMA = pa.schema(
         ("digest_sum", pa.uint64()),
     ]
 )
-
-
-def _key_crcs(col: pa.ChunkedArray) -> np.ndarray:
-    """crc32 of each key's ``str()`` as uint64 — the per-row term of the
-    key digest, and the partition hash of string keys."""
-    return np.fromiter(
-        (zlib.crc32(str(v).encode("utf-8")) for v in col.to_pylist()),
-        dtype=np.uint64,
-        count=len(col),
-    )
-
-
-def key_partition_ids(
-    col: pa.ChunkedArray, n_partitions: int, crcs: np.ndarray | None = None
-) -> np.ndarray:
-    """Deterministic partition ids for an int or string key column
-    (Knuth multiplicative hash for ints, crc32 for strings — never
-    Python's salted hash).  ``crcs`` reuses :func:`_key_crcs` of ``col``."""
-    if pa.types.is_integer(col.type):
-        vals = col.to_numpy(zero_copy_only=False).astype(np.uint64)
-        return ((vals * np.uint64(2654435761)) % n_partitions).astype(np.int64)
-    if crcs is None:
-        crcs = _key_crcs(col)
-    return (crcs % np.uint64(n_partitions)).astype(np.int64)
 
 
 #: Per-task write sequence: distinguishes blocks written by the SAME task
@@ -134,14 +113,14 @@ FORMATS = {
 
 
 def _sort_block(batch: pa.Table, key: str, n_partitions: int, digest=None):
-    """Sort ``batch`` by partition id once and fold (n_rows, key crc32 sum,
-    sum of the hex ``digest`` column's 64-bit prefixes) per partition;
-    uint64 ``np.add.reduceat`` wraps mod 2^64.  Returns the stable sort
-    permutation, each partition's start in it, and the STATS_SCHEMA
-    partial."""
-    col = batch.column(key)
-    crcs = _key_crcs(col)
-    pids = key_partition_ids(col, n_partitions, crcs)
+    """Hash ``key`` once (``key_hash``; the partition id is the hash mod
+    ``n_partitions``), sort ``batch`` by partition id and fold (n_rows, key
+    hash sum, sum of the hex ``digest`` column's 64-bit prefixes) per
+    partition; uint64 ``np.add.reduceat`` wraps mod 2^64.  Returns the
+    stable sort permutation, each partition's start in it, and the
+    STATS_SCHEMA partial."""
+    hashes = key_hash(batch, [key])
+    pids = (hashes % np.uint64(n_partitions)).astype(np.int64)
     order = np.argsort(pids, kind="stable")
     starts = np.flatnonzero(np.diff(pids[order], prepend=-1))  # ids are >= 0
     digests = None
@@ -158,7 +137,7 @@ def _sort_block(batch: pa.Table, key: str, n_partitions: int, digest=None):
         return np.add.reduceat(vals[order], starts)
 
     partial = pa.table(
-        [pids[order][starts], np.diff(starts, append=len(pids)), fold(crcs), fold(digests)],
+        [pids[order][starts], np.diff(starts, append=len(pids)), fold(hashes), fold(digests)],
         schema=STATS_SCHEMA,
     )
     return order, starts, partial
@@ -180,9 +159,9 @@ def write_block(
     digest: str | None = None,
 ) -> pa.Table:
     """Write one block under ``partition_id=N/`` dirs; return its stat
-    partial (STATS_SCHEMA): rows and ``key`` crc32 sum per partition, plus
-    the sum of the 64-bit prefixes of the hex ``digest`` column when
-    given.
+    partial (STATS_SCHEMA): rows and ``key_hash`` sum of ``key`` per
+    partition, plus the sum of the 64-bit prefixes of the hex ``digest``
+    column when given.
 
     File names are task id + attempt salt + per-task sequence: blocks
     never share a name, whatever their content, so no block can overwrite
@@ -266,7 +245,7 @@ def drop_partitions(
     batch: pa.Table, *, key: str, n_partitions: int, done: frozenset
 ) -> pa.Table:
     """Rows of ``batch`` whose key does NOT hash into a ``done`` partition."""
-    pids = key_partition_ids(batch.column(key), n_partitions)
+    pids = (key_hash(batch, [key]) % np.uint64(n_partitions)).astype(np.int64)
     return batch.filter(pa.array(~np.isin(pids, sorted(done))))
 
 

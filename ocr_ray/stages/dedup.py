@@ -22,13 +22,12 @@ Correctness gate: the driver queries run these over the ``documents`` table
 with PLANTED duplicates (every 10th doc copied, exact or perturbed) so the
 expected pair list is exactly SQL-expressible.
 
-Determinism: all hashes are crc32/sha-based (never Python's salted hash);
-every emitted pair is (min_id, max_id)-ordered and globally sorted.
+Determinism: all hashes are ``functions.strhash`` kernels or seeded
+permutations and planes (never Python's salted hash); every emitted pair
+is (min_id, max_id)-ordered and globally sorted.
 """
 
 from __future__ import annotations
-
-import zlib
 
 import numpy as np
 import pyarrow as pa
@@ -36,6 +35,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..functions.strhash import fold_rows_u64
 from ..schema import list_column_matrix
 
 _MERSENNE = (1 << 61) - 1
@@ -299,8 +299,6 @@ def minhash_band_rows(batch: pa.Table) -> pa.Table:
     reshaped signature matrix (functions/strhash.fold_rows_u64) — equal
     signature chunks hash equal, and the emission is np.repeat/tile, no
     per-doc Python loop."""
-    from ..functions.strhash import fold_rows_u64
-
     ids = batch.column("doc_id").to_numpy(zero_copy_only=False).astype(np.int64)
     rows_per_band = N_PERM // N_BANDS
     # Arrow column straight into the kernel — no to_pylist round-trip
@@ -942,15 +940,6 @@ def simhash_dedup_pairs(
     )
 
 
-def _vec_hash(v) -> int:
-    """Deterministic 64-bit content hash of a vector (identical embeddings
-    collapse to one star group inside a bucket)."""
-    buf = np.asarray(v, dtype=np.float64).tobytes()
-    h = zlib.crc32(buf) | (zlib.crc32(buf[::-1]) << 32)
-    # signed-int64 view so the value fits Arrow int64 columns
-    return int(np.uint64(h).astype(np.int64))
-
-
 def embedding_neardup_pairs(
     emb: ray.data.Dataset,
     *,
@@ -987,23 +976,18 @@ def embedding_neardup_pairs(
 
     def bucket_rows(batch: pa.Table) -> pa.Table:
         pl = ray.get(planes_ref)
-        ids = batch.column("vec_id").to_pylist()
+        ids = batch.column("vec_id").to_numpy()
         mat = list_column_matrix(batch.column("embedding"))
-        vhash = [_vec_hash(v) for v in mat]
-        out_id, out_tb, out_bk, out_vh = [], [], [], []
-        for t in range(n_tables):
-            signs = (mat @ pl[t]) > 0
-            keys = (signs * powers).sum(axis=1).astype(np.int64)
-            out_id.extend(ids)
-            out_tb.extend([t] * len(ids))
-            out_bk.extend(keys.tolist())
-            out_vh.extend(vhash)
+        # content hash of each vector's float64 bits (identical embeddings
+        # collapse to one star group inside a bucket), as int64
+        vhash = fold_rows_u64(mat.view(np.uint64)).view(np.int64)
+        keys = [((mat @ pl[t] > 0) * powers).sum(axis=1) for t in range(n_tables)]
         return pa.table(
             {
-                "vec_id": pa.array(out_id, pa.int64()),
-                "table_id": pa.array(out_tb, pa.int32()),
-                "bucket": pa.array(out_bk, pa.int64()),
-                "vhash": pa.array(out_vh, pa.int64()),
+                "vec_id": pa.array(np.tile(ids, n_tables), pa.int64()),
+                "table_id": pa.array(np.repeat(np.arange(n_tables), len(ids)), pa.int32()),
+                "bucket": pa.array(np.concatenate(keys), pa.int64()),
+                "vhash": pa.array(np.tile(vhash, n_tables), pa.int64()),
             }
         )
 

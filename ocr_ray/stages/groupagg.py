@@ -31,39 +31,14 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray.data
 
-#: multiplier that folds a multi-key row into one uint64 lane (FNV prime)
-_FOLD = np.uint64(0x100000001B3)
+from ..functions.strhash import key_hash
 
 
 def bucket_ids(table: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
-    """Hash-bucket id in ``[0, n_buckets)`` per row of ``table`` from the
-    values of ``keys`` alone (never the batch split or chunk layout).
-
-    Vectorized, no per-row Python: integer keys are taken as uint64 (two's
-    complement for negatives; nulls as 0), string and binary keys through
-    :func:`~ocr_ray.functions.strhash.hash_strings_u64` (nulls hash like
-    ``''``).  Multi-key lanes fold as ``h * FNV_PRIME + lane``, and the
-    fold is mixed once with splitmix64 so dense ids spread evenly."""
-    from ..functions.strhash import SEED_A, _splitmix64, hash_strings_u64
-
-    h = np.zeros(table.num_rows, dtype=np.uint64)
-    for k in keys:
-        col = table.column(k)
-        t = col.type
-        if (
-            pa.types.is_string(t)
-            or pa.types.is_large_string(t)
-            or pa.types.is_binary(t)
-            or pa.types.is_large_binary(t)
-        ):
-            lane = hash_strings_u64(pc.fill_null(col, pa.scalar(b"", t)), SEED_A)
-        elif pa.types.is_integer(t):
-            lane = pc.fill_null(col, 0).to_numpy(zero_copy_only=False)
-            lane = lane.astype(np.int64).view(np.uint64)
-        else:
-            raise TypeError(f"bucket key {k!r} must be integer, string or binary, not {t}")
-        h = h * _FOLD + lane
-    return (_splitmix64(h) % np.uint64(n_buckets)).astype(np.int64)
+    """Hash-bucket id in ``[0, n_buckets)`` per row of ``table``:
+    :func:`~ocr_ray.functions.strhash.key_hash` of ``keys`` mod
+    ``n_buckets`` (integer, string and binary keys)."""
+    return (key_hash(table, keys) % np.uint64(n_buckets)).astype(np.int64)
 
 
 def bucketed_map_groups(

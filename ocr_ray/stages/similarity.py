@@ -67,7 +67,7 @@ def ivf_topk(
         cents = ray.get(cent_ref)
         probe = ray.get(probed_ref)
         qv = ray.get(q_ref)
-        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        ids = batch.column("vec_id").to_numpy().astype(np.int64, copy=False)
         mat = list_column_matrix(batch.column("embedding"))
         d = ((mat[:, None, :] - cents[None, :, :]) ** 2).sum(axis=2)
         assign = d.argmin(axis=1)
@@ -166,7 +166,7 @@ def ivf_search_index(
 
     def score(batch: pa.Table) -> pa.Table:
         qv = ray.get(q_ref)
-        ids = np.asarray(batch.column("vec_id").to_pylist(), dtype=np.int64)
+        ids = batch.column("vec_id").to_numpy().astype(np.int64, copy=False)
         mat = list_column_matrix(batch.column("embedding"))
         norms = np.linalg.norm(mat, axis=1)
         norms[norms == 0] = 1.0

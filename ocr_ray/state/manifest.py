@@ -5,10 +5,17 @@ for skip-if-done (models/ocr/base_ocr.py:142-144, utils/callbacks/
 file_saver.py:145-192) and a keyed one-file-per-entry ``JSONDir`` store
 (utils/databases/json_dir.py:18-138).  At 10^12 rows a url-level map cannot
 live in RAM, so here the pattern is made **partition-granular**: one small
-JSON file per completed url-hash partition, written atomically (tmp +
+JSON file per completed key-hash partition, written atomically (tmp +
 rename) after the partition's Parquet output lands, holding
 
-    partition_id, n_docs, input_digest, output_digest, status
+    partition_id, n_partitions, partition_hash, n_docs, input_digest,
+    output_digest, status
+
+``partition_hash`` records which row-key hash assigned the rows to
+partitions (:data:`PARTITION_HASH`, ``functions.strhash.key_hash``), and
+``input_digest`` is the sum of that hash over the partition's keys mod
+2^64.  An entry committed under another partition count or another hash
+(or an older entry with no ``partition_hash``) is never trusted.
 
 Resume = read the manifest dir (tiny: one file per partition), broadcast the
 completed-id set, and anti-join the input inside ``map_batches``
@@ -21,16 +28,38 @@ from __future__ import annotations
 
 import json
 import os
-import zlib
 
-
-def url_partition(url: str, n_partitions: int) -> int:
-    """Deterministic url-hash partition id (crc32; NEVER Python's salted hash)."""
-    return zlib.crc32(url.encode("utf-8")) % n_partitions
+#: the row-key hash that assigns rows to partitions, as committed in every
+#: entry: ``functions.strhash.key_hash`` (FNV-folded strhash/int64 lanes,
+#: splitmix64) mod ``n_partitions``.  A recorded format value, not a
+#: setting; a new layout gets a new value.
+PARTITION_HASH = "strhash.key_hash/1"
 
 
 def manifest_dir(output_dir: str) -> str:
     return os.path.join(output_dir, "_manifest")
+
+
+def _entries(output_dir: str):
+    """(path, entry) of every manifest entry file, in partition order."""
+    mdir = manifest_dir(output_dir)
+    if not os.path.isdir(mdir):
+        return
+    for name in sorted(os.listdir(mdir)):
+        if name.startswith("part-") and name.endswith(".json"):
+            path = os.path.join(mdir, name)
+            with open(path) as f:
+                yield path, json.load(f)
+
+
+def _trusted(entry: dict, n_partitions: int) -> bool:
+    """Does ``entry`` hold the rows a run over ``n_partitions`` assigns to
+    its partition?  Only when it was committed under the same partition
+    count and the same row-key hash (a missing field is a mismatch)."""
+    return (
+        entry.get("n_partitions") == n_partitions
+        and entry.get("partition_hash") == PARTITION_HASH
+    )
 
 
 def completed_partitions(
@@ -38,44 +67,28 @@ def completed_partitions(
 ) -> dict[int, dict]:
     """Read all committed partition entries. Missing dir -> empty.
 
-    With ``n_partitions`` given, entries committed under a DIFFERENT
-    partition count are ignored (the url->partition mapping changed, so
-    they cannot be trusted for the skip anti-join).  Reads are pure;
+    With ``n_partitions`` given, entries not :func:`_trusted` for that
+    count are ignored (the key->partition mapping changed, so they cannot
+    be trusted for the skip anti-join).  Reads are pure;
     :func:`purge_mismatched` deletes untrusted entries explicitly."""
-    mdir = manifest_dir(output_dir)
-    if not os.path.isdir(mdir):
-        return {}
-    out: dict[int, dict] = {}
-    for name in sorted(os.listdir(mdir)):
-        if not (name.startswith("part-") and name.endswith(".json")):
-            continue
-        with open(os.path.join(mdir, name)) as f:
-            entry = json.load(f)
-        if entry.get("status") != "done":
-            continue
-        if n_partitions is not None and entry.get("n_partitions") != n_partitions:
-            continue
-        out[int(entry["partition_id"])] = entry
-    return out
+    return {
+        int(entry["partition_id"]): entry
+        for _, entry in _entries(output_dir)
+        if entry.get("status") == "done"
+        and (n_partitions is None or _trusted(entry, n_partitions))
+    }
 
 
 def purge_mismatched(output_dir: str, n_partitions: int) -> int:
-    """Delete manifest entries committed under a different partition count.
+    """Delete manifest entries not :func:`_trusted` for ``n_partitions``
+    (another partition count or another row-key hash).
 
-    Called by run_extraction before a resume: a stale entry would poison a
-    future resume that switches back to the old count after this run
-    rewrites the data.  Returns the number purged."""
-    mdir = manifest_dir(output_dir)
-    if not os.path.isdir(mdir):
-        return 0
+    Called before a resume: a stale entry would poison a future resume
+    that switches back to the old layout after this run rewrites the
+    data.  Returns the number purged."""
     removed = 0
-    for name in sorted(os.listdir(mdir)):
-        if not (name.startswith("part-") and name.endswith(".json")):
-            continue
-        path = os.path.join(mdir, name)
-        with open(path) as f:
-            entry = json.load(f)
-        if entry.get("n_partitions") != n_partitions:
+    for path, entry in _entries(output_dir):
+        if not _trusted(entry, n_partitions):
             os.remove(path)
             removed += 1
     return removed
@@ -96,6 +109,7 @@ def commit_partition(
     entry = {
         "partition_id": int(partition_id),
         "n_partitions": n_partitions,
+        "partition_hash": PARTITION_HASH,
         "n_docs": int(n_docs),
         "input_digest": input_digest,
         "output_digest": output_digest,

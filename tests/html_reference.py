@@ -74,7 +74,7 @@ def fast_parse(html: str, node_cls, void_tags, p_closers):
             continue  # comment / doctype / PI
         tag = open_name.lower()
         self_closing = attr_raw.rstrip().endswith("/")
-        if tag in p_closers:
+        if tag in p_closers and not self_closing:
             for i in range(len(stack) - 1, 0, -1):
                 if stack[i].tag == "p":
                     del stack[i:]

@@ -32,6 +32,8 @@ CASES = [
     "",
     "<table><tr><td>a</td><td>b</td></tr></table>",
     "<p>unicode éè 中文</p>",
+    "<p>a<div/>b</p>",                                         # self-closed p-closer
+    "<p>a<table/>b</p>",
 ]
 
 

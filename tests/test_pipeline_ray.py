@@ -15,6 +15,8 @@ from ocr_ray import reference, synth
 from ocr_ray.pipelines import extraction as ex
 from ocr_ray.state import manifest as mf
 
+from . import keyhash_reference as ref
+
 N_PAGES = 72
 
 
@@ -105,13 +107,13 @@ def test_resume_invalidates_changed_input(ray_session, corpus, oracle, tmp_path_
     # perturb one page's url -> its old partition loses a row (digest
     # mismatch) and some partition gains one
     urls = corpus.column("url").to_pylist()
-    old_pid = mf.url_partition(urls[0], 6)
+    old_pid = ref.partition_id(urls[0], 6)
     urls[0] = urls[0] + "-changed"
     changed = corpus.set_column(
         corpus.schema.get_field_index("url"), "url", pa.array(urls)
     )
     stats = ex.run_extraction(changed, out, n_partitions=6)
-    new_pid = mf.url_partition(urls[0], 6)
+    new_pid = ref.partition_id(urls[0], 6)
     stale = {old_pid, new_pid}
     assert stats["skipped_partitions"] == 6 - len(stale)
     assert stats["extracted"] > 0

@@ -13,6 +13,8 @@ import pytest
 from ocr_ray.pipelines import extraction as ex
 from ocr_ray.state import manifest as mf
 
+from . import keyhash_reference as ref
+
 URL = "http://h/a"
 
 
@@ -39,7 +41,7 @@ def test_same_url_in_two_blocks_lands_twice(ray_session, tmp_path, texts):
     assert stats["extracted"] == 2
 
     committed = mf.completed_partitions(out)
-    pid = mf.url_partition(URL, 4)
+    pid = ref.partition_id(URL, 4)
     assert set(committed) == {pid}
     on_disk = pq.read_table(out).column("extracted").to_pylist()
     assert len(on_disk) == committed[pid]["n_docs"] == 2

@@ -10,11 +10,14 @@ from ocr_ray import synth
 from ocr_ray.pipelines import extraction as ex
 from ocr_ray.state import manifest as mf
 
+from . import keyhash_reference as ref
+
 
 def test_url_hash_partitioning_breaks_host_skew():
     """The synth corpus gives host 0 ~25% of pages (crawl-order clustering);
-    crc32(url) partitioning must spread them ~uniformly (SURVEY §4 skew row,
-    north rule: url-hash partitioning)."""
+    key-hash partitioning of the url (``strhash.key_hash``, computed here
+    by its scalar reference) must spread them ~uniformly (SURVEY §4 skew
+    row, north rule: url-hash partitioning)."""
     n, parts = 6000, 32
     urls = [synth.page_url(i) for i in range(n)]
     hosts = [u.split("//")[1].split(".")[0] for u in urls]
@@ -24,7 +27,7 @@ def test_url_hash_partitioning_breaks_host_skew():
     host_counts = Counter(hosts)
     assert host_counts.most_common(1)[0][1] > 0.2 * n
     # ...and is gone after url-hash partitioning
-    pids = [mf.url_partition(u, parts) for u in urls]
+    pids = [ref.partition_id(u, parts) for u in urls]
     pid_counts = np.bincount(pids, minlength=parts)
     assert pid_counts.min() > 0.5 * n / parts
     assert pid_counts.max() < 2.0 * n / parts
@@ -34,8 +37,18 @@ def test_url_hash_partitioning_breaks_host_skew():
 
 
 def test_partition_id_deterministic():
-    assert mf.url_partition("https://x/y", 16) == mf.url_partition("https://x/y", 16)
-    assert 0 <= mf.url_partition("anything", 7) < 7
+    """A url's partition id is a function of the url alone (never Python's
+    salted hash) and lies in [0, n)."""
+    import pyarrow as pa
+
+    from ocr_ray.pipelines import writer
+
+    urls = ["https://x/y", "anything", "https://x/y"]
+    for n in (7, 16):
+        got = writer.block_stats(pa.table({"url": urls}), key="url", n_partitions=n)
+        want = sorted({ref.partition_id(u, n) for u in urls})
+        assert got["partition_id"].to_pylist() == want
+        assert all(0 <= p < n for p in want)
 
 
 def test_exploded_run_and_resume(ray_session, tmp_path_factory):
@@ -130,13 +143,12 @@ def test_materialize_branch_reuse(ray_session):
 
 def test_url_hash_partitioning_breaks_host_skew_corpus():
     """The synth corpus has Zipf host skew (host 0 owns ~25% of pages);
-    crc32(url) partitioning must spread rows near-uniformly anyway —
-    the explicit-skew-handling claim of the north rule."""
+    key-hash partitioning of the url (computed by the scalar reference)
+    must spread rows near-uniformly anyway — the explicit-skew-handling
+    claim of the north rule."""
     import collections
-    import zlib
 
     from ocr_ray import synth
-    from ocr_ray.state.manifest import url_partition
 
     corpus = synth.synth_corpus(2400)
     urls = corpus.column("url").to_pylist()
@@ -144,7 +156,7 @@ def test_url_hash_partitioning_breaks_host_skew_corpus():
     assert hosts.most_common(1)[0][1] > len(urls) * 0.2  # skew exists
 
     n_parts = 32
-    parts = collections.Counter(url_partition(u, n_parts) for u in urls)
+    parts = collections.Counter(ref.partition_id(u, n_parts) for u in urls)
     mean = len(urls) / n_parts
     assert len(parts) == n_parts
     assert max(parts.values()) < 1.5 * mean  # balanced despite host skew

@@ -2,6 +2,7 @@
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import ray.data
 from hypothesis import given, settings, strategies as st
@@ -9,16 +10,20 @@ from hypothesis import given, settings, strategies as st
 from ocr_ray.pipelines import writer
 from ocr_ray.state import manifest as mf
 
+from . import keyhash_reference as ref
+
+
+def _docs_table(n=200):
+    return pa.table(
+        {
+            "doc_id": pa.array(range(n), pa.int64()),
+            "text": pa.array(["t%d" % i for i in range(n)]),
+        }
+    )
+
 
 def _docs(n=200):
-    return ray.data.from_arrow(
-        pa.table(
-            {
-                "doc_id": pa.array(range(n), pa.int64()),
-                "text": pa.array(["t%d" % i for i in range(n)]),
-            }
-        )
-    )
+    return ray.data.from_arrow(_docs_table(n))
 
 
 def test_write_read_roundtrip(ray_session, tmp_path):
@@ -44,7 +49,7 @@ def test_resume_skips_committed_and_recomputes_missing(ray_session, tmp_path):
     assert r["skipped_partitions"] == 5
     # exactly the missing rows were rewritten
     expect_missing = sum(
-        1 for i in range(200) if (i * 2654435761) % 8 in (1, 4, 6)
+        1 for i in range(200) if ref.partition_id(i, 8) in (1, 4, 6)
     )
     assert r["written"] == expect_missing
     back = writer.read_partitioned(out)
@@ -219,10 +224,10 @@ def test_jsonl_and_csv_sink_roundtrip_with_resume(ray_session, tmp_path):
 
 
 def test_block_fold_matches_python_loop():
-    """The uint64 np.add.reduceat fold equals the per-row Python loop it
-    replaced (sums of crc32s and of 64-bit digest prefixes, mod 2^64)."""
+    """The uint64 np.add.reduceat fold equals a per-row Python loop over
+    the scalar key-hash reference (sums of key hashes and of 64-bit digest
+    prefixes, mod 2^64)."""
     import random
-    import zlib
 
     rng = random.Random(5)
     urls = ["http://h%d/%d" % (rng.randrange(9), i) for i in range(300)]
@@ -237,11 +242,11 @@ def test_block_fold_matches_python_loop():
 
     want: dict = {}
     for u, d in zip(urls, digests):
-        pid = zlib.crc32(u.encode("utf-8")) % 7
+        pid = ref.partition_id(u, 7)
         n, ks, ds = want.get(pid, (0, 0, 0))
         want[pid] = (
             n + 1,
-            (ks + zlib.crc32(u.encode("utf-8"))) & writer._U64,
+            (ks + ref.key_hash([u])) & writer._U64,
             (ds + int(d[:16], 16)) & writer._U64 if d else ds,
         )
     assert {
@@ -249,7 +254,7 @@ def test_block_fold_matches_python_loop():
         for r in partial.to_pylist()
     } == want
     # the sort is stable: each partition's rows keep their block order
-    pids = [zlib.crc32(u.encode("utf-8")) % 7 for u in urls]
+    pids = [ref.partition_id(u, 7) for u in urls]
     assert [urls[i] for i in order] == [u for _, u in sorted(zip(pids, urls), key=lambda t: t[0])]
     assert [pids[order[s]] for s in starts] == sorted(want)
 
@@ -289,3 +294,78 @@ def test_fold_partials_matches_python_fold(ray_session, case):
     got = writer.fold_partials(ray.data.from_arrow(blocks), n_partitions)
     assert [r["partition_id"] for r in got] == sorted(want)
     assert {r["partition_id"]: (r["n_rows"], r["key_sum"], r["digest_sum"]) for r in got} == want
+
+
+def _crc32_key_hash(table, keys):
+    """The layout before ``key_hash``: crc32 of each key's ``str()``."""
+    import zlib
+
+    (key,) = keys
+    return np.array(
+        [zlib.crc32(str(v).encode("utf-8")) for v in table.column(key).to_pylist()], np.uint64
+    )
+
+
+def _commit_crc32_layout(monkeypatch, tbl, out, *, key, n_partitions, digest=None):
+    """Write and commit ``tbl`` as the crc32 layout did (on the driver),
+    with manifest entries in that layout's format: no ``partition_hash``.
+    Then drop every other committed partition, as a run killed before
+    committing them leaves it.  Returns the partition ids still committed."""
+    import json
+    import shutil
+
+    with monkeypatch.context() as m:
+        m.setattr(writer, "key_hash", _crc32_key_hash)
+        partial = writer.write_block(
+            tbl, output_dir=out, key=key, n_partitions=n_partitions, digest=digest
+        )
+    pids = partial.column("partition_id").to_pylist()
+    for r in partial.to_pylist():
+        mf.commit_partition(
+            out,
+            r["partition_id"],
+            n_docs=r["n_rows"],
+            input_digest=writer.digest_hex(r["key_sum"]),
+            output_digest=writer.digest_hex(r["digest_sum" if digest else "key_sum"]),
+            n_partitions=n_partitions,
+        )
+        path = os.path.join(mf.manifest_dir(out), "part-{:06d}.json".format(r["partition_id"]))
+        with open(path) as f:
+            entry = json.load(f)
+        del entry["partition_hash"]
+        with open(path, "w") as f:
+            json.dump(entry, f)
+    for pid in pids[::2]:
+        shutil.rmtree(os.path.join(out, "partition_id={}".format(pid)))
+        mf.invalidate_partition(out, pid)
+    assert len(mf.completed_partitions(out)) == len(pids[1::2]) > 0
+    return pids[1::2]
+
+
+def test_output_of_another_partition_hash_is_rewritten(ray_session, tmp_path, monkeypatch):
+    """A partly written output from the crc32 layout (entries without
+    ``partition_hash``) is never trusted: ``write_partitioned`` and a
+    resumed ``run_extraction`` both rewrite all of it, and every input row
+    comes back exactly once under the new layout."""
+    from ocr_ray import synth
+    from ocr_ray.pipelines import extraction as ex
+    from ocr_ray.stages.extract import extract_batch
+
+    out = str(tmp_path / "w")
+    _commit_crc32_layout(monkeypatch, _docs_table(), out, key="doc_id", n_partitions=8)
+    r = writer.write_partitioned(_docs(), out, key="doc_id", n_partitions=8)
+    assert r == {"written": 200, "skipped_partitions": 0}
+    assert sorted(writer.read_partitioned(out).column("doc_id").to_pylist()) == list(range(200))
+    entries = mf.completed_partitions(out, n_partitions=8)
+    assert {e["partition_hash"] for e in entries.values()} == {mf.PARTITION_HASH}
+    assert sum(e["n_docs"] for e in entries.values()) == 200
+
+    out = str(tmp_path / "x")
+    pages = synth.synth_corpus(40)
+    _commit_crc32_layout(monkeypatch, extract_batch(pages), out,
+                         key="url", n_partitions=6, digest="digest")
+    stats = ex.run_extraction(pages, out, n_partitions=6)
+    assert stats == {"extracted": 40, "skipped_partitions": 0}
+    urls = writer.read_partitioned(out).column("url").to_pylist()
+    assert sorted(urls) == sorted(pages.column("url").to_pylist())
+    assert len(set(urls)) == 40
