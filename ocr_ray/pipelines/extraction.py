@@ -1,11 +1,13 @@
 """The flagship extraction pipeline.
 
     read_parquet(pages, columns=[url, html, lang])
-      -> [resume] drop rows of committed partitions         # map-side filter
-      -> map_batches(extract_batch)                         # detect+extract
-      -> map_batches(writer.write_block)                    # partitioned write
-      -> driver-side fold of the tiny stat partials         # no shuffle
-      -> commit per-partition manifests
+      -> writer.write_partitioned(key=url, digest=digest):
+           [resume] check committed partitions' url digests  # url-only read
+           drop rows of committed partitions                 # map-side filter
+           transform: map_batches(extract_batch)             # detect+extract
+           map_batches(writer.write_block)                   # partitioned write
+           fold of the tiny stat partials in the caller      # no shuffle
+           commit per-partition manifests
 
 Design notes for 100 TB (SURVEY §4):
 
@@ -19,8 +21,9 @@ Design notes for 100 TB (SURVEY §4):
   partition ≈ a few GB at production scale.  Each manifest entry records
   the hash (``manifest.PARTITION_HASH``), so output written under another
   layout is rewritten, never trusted.
-- the write is :mod:`ocr_ray.pipelines.writer`'s, shared with every other
-  partitioned output: each task sorts its block by partition id once,
+- the resume protocol and the write are
+  :func:`ocr_ray.pipelines.writer.write_partitioned`'s, shared with every
+  other partitioned output: each task sorts its block by partition id once,
   writes one file per partition it holds under ``partition_id=N/`` and
   folds (rows, url key-hash sum, digest sum) per partition.  Files are named
   ``part-<task id>-<attempt salt>-<per-task sequence>.parquet``, so two
@@ -44,7 +47,6 @@ import ray.data
 from ..sources.io import read_pages
 from ..stages.extract import BlockExtractor, assemble_bucket, extract_batch
 from ..stages.groupagg import bucketed_map_groups
-from ..state import manifest as mf
 from . import writer as wr
 
 PAGE_COLUMNS = ["url", "html", "lang"]
@@ -121,90 +123,29 @@ def run_extraction(
     concurrency=None,
     resume: bool = True,
 ) -> dict:
-    """Resumable end-to-end run: pages -> partitioned Parquet + manifests.
+    """Resumable end-to-end run: pages -> partitioned Parquet + manifests,
+    through :func:`writer.write_partitioned` with :func:`extract_pages` as
+    its transform and the url-only page read as its input-digest source.
 
     Returns run stats ``{'extracted': n, 'skipped_partitions': k}``.
     """
-    ds = read_pages(source, columns=PAGE_COLUMNS)
-
-    if resume:
-        mf.purge_mismatched(output_dir, n_partitions)
-        done: dict[int, dict] = mf.completed_partitions(
-            output_dir, n_partitions=n_partitions
-        )
-        if done:
-            # A committed partition is only skippable if its INPUT is still
-            # the rows it was computed from: recompute each partition's
-            # url-sum digest (pruned url-column pass, cheap relative to the
-            # extraction it saves) and invalidate any mismatch — otherwise a
-            # changed corpus silently drops rows on resume.
-            actual = _input_partition_digests(source, n_partitions)
-            for pid in [
-                p for p, e in done.items()
-                if actual.get(p) != e.get("input_digest")
-            ]:
-                mf.invalidate_partition(output_dir, pid)
-                del done[pid]
-    else:
-        done = {}
-        mf.clear(output_dir)  # full rewrite: stale manifests must not linger
-    # the manifest commit is the atomic gate: a partition dir WITHOUT a
-    # committed manifest is debris from a killed run — remove it, or the
-    # recompute would APPEND duplicate rows next to the orphaned files
-    wr.clean_debris(output_dir, committed=frozenset(done))
-    if done:
-        ds = ds.map_batches(
-            wr.drop_partitions,
-            fn_kwargs={"key": "url", "n_partitions": n_partitions, "done": frozenset(done)},
-            batch_format="pyarrow",
-        )
-
-    out = extract_pages(
-        ds,
-        mode=mode,
-        footnote_mode=footnote_mode,
-        batch_size=batch_size,
-        concurrency=concurrency,
-    )
-    n_rows = 0
-    for r in wr.write_and_fold(
-        out, output_dir, key="url", n_partitions=n_partitions, digest="digest"
-    ):
-        mf.commit_partition(
-            output_dir,
-            int(r["partition_id"]),
-            n_docs=int(r["n_rows"]),
-            input_digest=wr.digest_hex(r["key_sum"]),
-            output_digest=wr.digest_hex(r["digest_sum"]),
-            n_partitions=n_partitions,
-        )
-        n_rows += int(r["n_rows"])
-    return {"extracted": n_rows, "skipped_partitions": len(done)}
-
-
-def _input_partition_digests(source, n_partitions: int) -> dict[int, str]:
-    """Per-partition url-sum digests of the CURRENT input (url column only,
-    pruned at the read) — the resume validation side of the manifest."""
-    rows = wr.fold_partials(
-        read_pages(source, columns=["url"]).map_batches(
-            wr.block_stats,
-            fn_kwargs={"key": "url", "n_partitions": n_partitions},
-            batch_format="pyarrow",
+    r = wr.write_partitioned(
+        read_pages(source, columns=PAGE_COLUMNS),
+        output_dir,
+        key="url",
+        n_partitions=n_partitions,
+        digest="digest",
+        keys=lambda: read_pages(source, columns=["url"]),
+        transform=functools.partial(
+            extract_pages,
+            mode=mode,
+            footnote_mode=footnote_mode,
+            batch_size=batch_size,
+            concurrency=concurrency,
         ),
-        n_partitions,
+        resume=resume,
     )
-    return {int(r["partition_id"]): wr.digest_hex(r["key_sum"]) for r in rows}
-
-
-def compact_partitions(output_dir: str) -> dict:
-    """Output maintenance: merge each committed partition's many small
-    files (the writer emits one per task x partition) into right-sized
-    ones — :func:`writer.compact_partitioned`, with every partition's
-    combined row digest REQUIRED to match its committed ``output_digest``
-    (a mismatch leaves that partition untouched).  Returns
-    ``{'compacted': n, 'skipped': k}``."""
-    r = wr.compact_partitioned(output_dir, digest="digest")
-    return {"compacted": r["compacted_partitions"], "skipped": r["skipped_partitions"]}
+    return {"extracted": r["written"], "skipped_partitions": r["skipped_partitions"]}
 
 
 def read_extracted(output_dir: str) -> pa.Table:

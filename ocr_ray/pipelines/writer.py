@@ -1,17 +1,18 @@
-"""The one resumable partitioned writer: ``run_extraction`` and
-:func:`write_partitioned` (ANY keyed Dataset — dedup winners, filtered
-corpora, per-source samples) both write through :func:`write_block`, so
-every output gets the same guarantees:
+"""The one resumable partitioned writer.  :func:`write_partitioned` holds
+the whole resume protocol, and every partitioned output goes through it:
+``run_extraction`` (with ``extract_pages`` as its ``transform``) and any
+other keyed Dataset (dedup winners, filtered corpora, per-source samples).
+Every output gets the same guarantees:
 
 - output lands as ``partition_id=N/`` directories, never one giant file;
   a row's partition id is ``strhash.key_hash`` of its key mod
   ``n_partitions`` (deterministic; the same hash as every shuffle bucket);
 - each finished partition commits a lineage manifest row (rows, input and
   output digests) atomically AFTER its files land (state/manifest.py);
-- a rerun skips committed partitions with a map-side filter against the
-  done-set (no driver scan of prior output), deletes debris of partitions
-  that died between write and commit, and recomputes only the missing key
-  ranges.
+- a rerun skips a committed partition only while its input digest still
+  matches, with a map-side filter against the done-set (no scan of prior
+  output), deletes debris of partitions that died between write and
+  commit, and recomputes only the missing key ranges.
 
 Each write task sorts its block by partition id once, writes each
 partition's slice (zero-copy after the one ``take``) with its format's
@@ -123,13 +124,7 @@ def _sort_block(batch: pa.Table, key: str, n_partitions: int, digest=None):
     pids = (hashes % np.uint64(n_partitions)).astype(np.int64)
     order = np.argsort(pids, kind="stable")
     starts = np.flatnonzero(np.diff(pids[order], prepend=-1))  # ids are >= 0
-    digests = None
-    if digest:
-        digests = np.fromiter(
-            (int(d[:16], 16) if d else 0 for d in batch.column(digest).to_pylist()),
-            dtype=np.uint64,
-            count=batch.num_rows,
-        )
+    digests = mf.digest_prefixes(batch.column(digest)) if digest else None
 
     def fold(vals):
         if vals is None or not len(starts):
@@ -216,31 +211,6 @@ def fold_partials(partials: ray.data.Dataset, n_partitions: int) -> list[dict]:
     ]
 
 
-def write_and_fold(
-    ds: ray.data.Dataset,
-    output_dir: str,
-    *,
-    key: str,
-    n_partitions: int,
-    format: str = "parquet",
-    digest: str | None = None,
-) -> list[dict]:
-    """Write every block of ``ds`` with :func:`write_block` and fold the
-    stat partials in the same pipeline pass."""
-    return fold_partials(
-        ds.map_batches(
-            write_block,
-            fn_kwargs={
-                "output_dir": output_dir, "key": key, "n_partitions": n_partitions,
-                "format": format, "digest": digest,
-            },
-            batch_format="pyarrow",
-            batch_size=None,
-        ),
-        n_partitions,
-    )
-
-
 def drop_partitions(
     batch: pa.Table, *, key: str, n_partitions: int, done: frozenset
 ) -> pa.Table:
@@ -261,14 +231,59 @@ def write_partitioned(
     key: str,
     n_partitions: int = 64,
     format: str = "parquet",
+    digest: str | None = None,
+    keys=None,
+    transform=None,
+    resume: bool = True,
 ) -> dict:
-    """Write ``ds`` as resumable key-partitioned files in ``format``
-    (``parquet`` | ``jsonl`` | ``csv`` — see ``FORMATS``).  Returns
-    ``{"written": rows_written_this_run, "skipped_partitions": N}``.
-    All resume / debris / manifest guarantees hold for every format; the
-    file body serializer is the only thing that changes."""
-    mf.purge_mismatched(output_dir, n_partitions)
-    done = frozenset(mf.completed_partitions(output_dir, n_partitions=n_partitions))
+    """Write ``ds`` as resumable ``key``-partitioned files in ``format``
+    (``parquet`` | ``jsonl`` | ``csv``, see ``FORMATS``) and commit one
+    manifest entry per partition written.  Returns ``{"written":
+    rows_written_this_run, "skipped_partitions": N}``.
+
+    - ``transform`` (Dataset -> Dataset) runs on the rows left after the
+      skip filter, so a resume computes only the missing partitions.  The
+      committed input digest is taken over the written keys, so its output
+      keeps one row per input row and each row's ``key``.
+    - ``digest`` names a hex digest column of the written rows; a
+      partition's output digest combines it (``manifest.combine_digests``).
+      Without it the output digest is the key digest.
+    - ``keys`` is a zero-argument callable returning a key-only Dataset of
+      ``ds``'s rows, the cheap source of the input digest (default
+      ``ds.select_columns([key])``).  It is called only when some
+      partition is committed, so a fresh run never reads it.
+    - ``resume=False`` clears the manifest and rewrites everything.
+
+    With ``resume``, a committed partition is skipped only while its entry
+    is trusted for ``n_partitions`` (``manifest.purge_mismatched``) and its
+    input digest, the sum of ``key_hash`` over the keys that hash into it,
+    matches the current input.  The input digest covers the key multiset
+    only, not the payloads: a partition that gains, loses or changes a key
+    is rewritten, one whose rows change only in their other columns is
+    skipped.  Partition dirs without a committed entry are debris of a
+    killed run and are deleted before the write.  All of this holds for
+    every format; only the file body serializer changes."""
+    done = frozenset()
+    if not resume:
+        mf.clear(output_dir)
+    else:
+        mf.purge_mismatched(output_dir, n_partitions)
+        committed = mf.completed_partitions(output_dir, n_partitions=n_partitions)
+        if committed:
+            key_ds = keys() if keys is not None else ds.select_columns([key])
+            stats = key_ds.map_batches(
+                block_stats,
+                fn_kwargs={"key": key, "n_partitions": n_partitions},
+                batch_format="pyarrow",
+            )
+            actual = {
+                r["partition_id"]: digest_hex(r["key_sum"])
+                for r in fold_partials(stats, n_partitions)
+            }
+            stale = {p for p, e in committed.items() if actual.get(p) != e.get("input_digest")}
+            for pid in stale:
+                mf.invalidate_partition(output_dir, pid)
+            done = frozenset(committed) - stale
     clean_debris(output_dir, committed=done)
     if done:
         ds = ds.map_batches(
@@ -276,18 +291,28 @@ def write_partitioned(
             fn_kwargs={"key": key, "n_partitions": n_partitions, "done": done},
             batch_format="pyarrow",
         )
+    if transform is not None:
+        ds = transform(ds)
+    partials = ds.map_batches(
+        write_block,
+        fn_kwargs={
+            "output_dir": output_dir, "key": key, "n_partitions": n_partitions,
+            "format": format, "digest": digest,
+        },
+        batch_format="pyarrow",
+        batch_size=None,
+    )
     written = 0
-    for r in write_and_fold(ds, output_dir, key=key, n_partitions=n_partitions, format=format):
-        digest = digest_hex(r["key_sum"])
+    for r in fold_partials(partials, n_partitions):
         mf.commit_partition(
             output_dir,
-            int(r["partition_id"]),
-            n_docs=int(r["n_rows"]),
-            input_digest=digest,
-            output_digest=digest,
+            r["partition_id"],
+            n_docs=r["n_rows"],
+            input_digest=digest_hex(r["key_sum"]),
+            output_digest=digest_hex(r["digest_sum" if digest else "key_sum"]),
             n_partitions=n_partitions,
         )
-        written += int(r["n_rows"])
+        written += r["n_rows"]
     return {"written": written, "skipped_partitions": len(done)}
 
 
@@ -372,7 +397,7 @@ def compact_partitioned(
             entry = done[pid]
             if tbl.num_rows != entry["n_docs"] or (
                 digest
-                and mf.combine_digests(tbl.column(digest).to_pylist())
+                and mf.combine_digests(tbl.column(digest))
                 != entry["output_digest"]
             ):
                 continue  # integrity mismatch: leave the partition alone

@@ -29,6 +29,10 @@ from __future__ import annotations
 import json
 import os
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 #: the row-key hash that assigns rows to partitions, as committed in every
 #: entry: ``functions.strhash.key_hash`` (FNV-folded strhash/int64 lanes,
 #: splitmix64) mod ``n_partitions``.  A recorded format value, not a
@@ -137,13 +141,40 @@ def invalidate_partition(output_dir: str, partition_id: int) -> None:
         os.remove(path)
 
 
+#: hex character byte -> its nibble value; 0xFF marks a non-hex byte
+_NIBBLE = np.full(256, 0xFF, np.uint8)
+_NIBBLE[list(b"0123456789abcdef")] = np.arange(16)
+_NIBBLE[list(b"ABCDEF")] = np.arange(10, 16)
+
+
+def digest_prefixes(hex_digests) -> np.ndarray:
+    """The 64-bit prefix of each hex digest in an Arrow string array, as
+    uint64: its first 16 characters read as hex (``int(d[:16], 16)``), 0
+    for a null or empty digest.  Vectorized: the prefixes are left-padded
+    with ``0`` to one fixed-width byte view, each byte maps through a
+    256-entry nibble table, and byte pairs of nibbles read as one
+    big-endian uint64 per row.  A non-hex character raises ``ValueError``."""
+    text = pc.utf8_lpad(pc.utf8_slice_codeunits(pc.fill_null(hex_digests, ""), 0, 16), 16, "0")
+    # a non-ASCII character leaves more than 16 bytes: ArrowInvalid, a ValueError
+    fixed = pc.cast(pc.cast(text, pa.binary()), pa.binary(16))
+    if isinstance(fixed, pa.ChunkedArray):
+        fixed = fixed.combine_chunks()
+    n = len(fixed)
+    if not n:
+        return np.zeros(0, np.uint64)
+    chars = np.frombuffer(fixed.buffers()[1], np.uint8, 16 * n, 16 * fixed.offset)
+    nibbles = _NIBBLE[chars.reshape(n, 16)]
+    if (nibbles == 0xFF).any():
+        raise ValueError("a digest holds a non-hex character")
+    return ((nibbles[:, 0::2] << 4) | nibbles[:, 1::2]).view(">u8").ravel().astype(np.uint64)
+
+
 def combine_digests(hex_digests) -> str:
     """Order-insensitive AND duplicate-sensitive digest combine: sum of
-    per-row sha256 64-bit prefixes mod 2^64.  (xor was rejected: a row
-    duplicated an even number of times cancels out, so a corrupted
-    partition could digest identically to a clean one.)"""
-    acc = 0
-    for d in hex_digests:
-        if d:
-            acc = (acc + int(d[:16], 16)) & 0xFFFFFFFFFFFFFFFF
-    return "{:016x}".format(acc)
+    per-row sha256 64-bit prefixes (:func:`digest_prefixes`) mod 2^64.
+    (xor was rejected: a row duplicated an even number of times cancels
+    out, so a corrupted partition could digest identically to a clean
+    one.)  Takes an Arrow string column or any iterable of hex strings."""
+    if not isinstance(hex_digests, (pa.Array, pa.ChunkedArray)):
+        hex_digests = pa.array(list(hex_digests), pa.string())
+    return "{:016x}".format(int(digest_prefixes(hex_digests).sum(dtype=np.uint64)))

@@ -15,6 +15,9 @@ Per key lane (``key_hash`` folds the lanes of a row's keys in order):
 
 The row hash is ``splitmix64(fold)`` with ``fold = fold * P + lane``
 from 0, all mod 2^64.
+
+The output digest sums :func:`digest_prefix` of the rows' hex digests,
+mod 2^64.
 """
 
 from __future__ import annotations
@@ -70,3 +73,9 @@ def key_hash(values) -> int:
 def partition_id(value, n_partitions: int) -> int:
     """The writer's partition id of one key value."""
     return key_hash([value]) % n_partitions
+
+
+def digest_prefix(hex_digest) -> int:
+    """One row's term of the output digest: the first 16 characters of its
+    hex digest read as an integer (0 for a null or empty digest)."""
+    return int(hex_digest[:16], 16) if hex_digest else 0

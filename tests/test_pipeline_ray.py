@@ -13,6 +13,7 @@ import pytest
 
 from ocr_ray import reference, synth
 from ocr_ray.pipelines import extraction as ex
+from ocr_ray.pipelines import writer as wr
 from ocr_ray.state import manifest as mf
 
 from . import keyhash_reference as ref
@@ -71,6 +72,14 @@ def test_run_and_resume(ray_session, corpus, oracle, tmp_path_factory):
     # full resume: nothing recomputed
     stats2 = ex.run_extraction(corpus, out, n_partitions=6)
     assert stats2 == {"extracted": 0, "skipped_partitions": 6}
+
+    # resume=False (the CLI's --no-resume): everything rewritten, once
+    stats3 = ex.run_extraction(corpus, out, n_partitions=6, resume=False)
+    assert stats3 == {"extracted": N_PAGES, "skipped_partitions": 0}
+    back = ex.read_extracted(out).select(oracle.column_names).cast(oracle.schema)
+    assert back.sort_by("url").equals(oracle)
+    urls = back.column("url").to_pylist()
+    assert len(urls) == len(set(urls)) == N_PAGES
 
 
 def test_kill_and_resume(ray_session, corpus, oracle, tmp_path_factory):
@@ -183,8 +192,8 @@ def test_compact_partitions(ray_session, corpus, oracle, tmp_path_factory):
         len([f for f in os.listdir(os.path.join(out, d)) if f.endswith(".parquet")])
         for d in os.listdir(out) if d.startswith("partition_id=")
     )
-    stats = ex.compact_partitions(out)
-    assert stats["compacted"] >= 1
+    stats = wr.compact_partitioned(out, digest="digest")
+    assert stats["compacted_partitions"] >= 1
     for d in os.listdir(out):
         if d.startswith("partition_id="):
             files = [f for f in os.listdir(os.path.join(out, d)) if f.endswith(".parquet")]
@@ -221,8 +230,8 @@ def test_compact_aborts_on_corruption(ray_session, corpus, tmp_path_factory):
         d: len(os.listdir(os.path.join(out, d)))
         for d in os.listdir(out) if d.startswith("partition_id=")
     }
-    stats = ex.compact_partitions(out)
-    assert stats["skipped"] >= 1
+    stats = wr.compact_partitioned(out, digest="digest")
+    assert stats["skipped_partitions"] >= 1
     # corrupted partition untouched (same file count)
     assert len(os.listdir(pdir)) == n_files["partition_id=0"]
 
@@ -243,9 +252,9 @@ def test_compact_skips_missing_partition_dir(ray_session, corpus, tmp_path_facto
         )
     ex.run_extraction(src, out, n_partitions=4, batch_size=8)
     shutil.rmtree(os.path.join(out, "partition_id=1"))
-    stats = ex.compact_partitions(out)
-    assert stats["skipped"] >= 1
-    assert stats["compacted"] + stats["skipped"] == 4
+    stats = wr.compact_partitioned(out, digest="digest")
+    assert stats["skipped_partitions"] >= 1
+    assert stats["compacted_partitions"] + stats["skipped_partitions"] == 4
     for pid in (0, 2, 3):
         pdir = os.path.join(out, "partition_id={}".format(pid))
         assert len([f for f in os.listdir(pdir) if f.endswith(".parquet")]) == 1
@@ -254,7 +263,7 @@ def test_compact_skips_missing_partition_dir(ray_session, corpus, tmp_path_facto
 def test_cli_batch_size_default_is_run_extractions(ray_session, monkeypatch):
     """``python -m ocr_ray`` passes ``batch_size`` only when
     ``--batch-size`` is given, so ``run_extraction``'s default is the one
-    default."""
+    default; ``--no-resume`` is ``resume=False``."""
     from ocr_ray import __main__ as cli
 
     seen = []
@@ -262,5 +271,7 @@ def test_cli_batch_size_default_is_run_extractions(ray_session, monkeypatch):
     monkeypatch.setattr(ray_session, "shutdown", lambda: None)
     cli.main(["--input", "pages", "--output", "out"])
     cli.main(["--input", "pages", "--output", "out", "--batch-size", "16"])
+    cli.main(["--input", "pages", "--output", "out", "--no-resume"])
     assert "batch_size" not in seen[0]
     assert seen[1]["batch_size"] == 16
+    assert [kw["resume"] for kw in seen] == [True, True, False]

@@ -223,6 +223,74 @@ def test_bucket_guard_catches_hand_rolled_copies():
     }
 
 
+#: the steps of the resume protocol; outside ``state/manifest.py`` they may
+#: appear only inside ``pipelines/writer.write_partitioned``
+RESUME_STEPS = {
+    "purge_mismatched", "invalidate_partition", "clean_debris",
+    "drop_partitions", "commit_partition",
+}
+
+
+def _resume_step_findings(tree) -> list:
+    """(top-level def, line, step) of every use of a resume step in
+    ``tree``: a call or a reference (``map_batches(drop_partitions)``) by
+    name or attribute, and ``mf.clear`` / ``manifest.clear``."""
+    import ast
+
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "clear" and getattr(node.value, "id", None) in ("mf", "manifest"):
+                found.append((where, node.lineno, "mf.clear"))
+            elif name in RESUME_STEPS:
+                found.append((where, node.lineno, name))
+    return found
+
+
+def test_one_resume_protocol():
+    """Only ``writer.write_partitioned`` runs the resume protocol (purge,
+    digest check and invalidate, debris cleanup, skip filter, commit): no
+    other function in ``ocr_ray/`` uses one of its steps."""
+    import ast
+    import pathlib
+
+    import ocr_ray
+
+    root = pathlib.Path(ocr_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel == "state/manifest.py":
+            continue
+        for where, line, what in _resume_step_findings(ast.parse(path.read_text())):
+            if (rel, where) != ("pipelines/writer.py", "write_partitioned"):
+                bad.append(f"{rel}:{line} ({where}): {what}")
+    assert not bad, "resume steps outside writer.write_partitioned:\n" + "\n".join(bad)
+
+
+def test_resume_guard_catches_hand_rolled_copies():
+    """The guard above flags each step of a hand-rolled resume sequence."""
+    import ast
+
+    src = (
+        "def run(ds, out, n):\n"
+        "    mf.purge_mismatched(out, n)\n"
+        "    mf.invalidate_partition(out, 0)\n"
+        "    mf.clear(out)\n"
+        "    wr.clean_debris(out, committed=frozenset())\n"
+        "    ds = ds.map_batches(wr.drop_partitions, fn_kwargs={})\n"
+        "    seen.clear()\n"
+        "    for r in rows:\n"
+        "        commit_partition(out, r, n_docs=1, input_digest='', output_digest='')\n"
+    )
+    assert sorted(what for _, _, what in _resume_step_findings(ast.parse(src))) == sorted(
+        ["purge_mismatched", "invalidate_partition", "mf.clear", "clean_debris",
+         "drop_partitions", "commit_partition"]
+    )
+
+
 def _self_calls(tree) -> list:
     """Names of the functions in ``tree`` that call themselves by name (as
     ``f(...)`` or ``x.f(...)``, not ``super().f(...)``), including nested

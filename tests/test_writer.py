@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pyarrow as pa
+import pytest
 import ray.data
 from hypothesis import given, settings, strategies as st
 
@@ -13,17 +14,17 @@ from ocr_ray.state import manifest as mf
 from . import keyhash_reference as ref
 
 
-def _docs_table(n=200):
+def _docs_table(n=200, prefix="t"):
     return pa.table(
         {
             "doc_id": pa.array(range(n), pa.int64()),
-            "text": pa.array(["t%d" % i for i in range(n)]),
+            "text": pa.array(["%s%d" % (prefix, i) for i in range(n)]),
         }
     )
 
 
-def _docs(n=200):
-    return ray.data.from_arrow(_docs_table(n))
+def _docs(n=200, prefix="t"):
+    return ray.data.from_arrow(_docs_table(n, prefix))
 
 
 def test_write_read_roundtrip(ray_session, tmp_path):
@@ -54,6 +55,41 @@ def test_resume_skips_committed_and_recomputes_missing(ray_session, tmp_path):
     assert r["written"] == expect_missing
     back = writer.read_partitioned(out)
     assert sorted(back.column("doc_id").to_pylist()) == list(range(200))
+
+
+@pytest.mark.parametrize("resume", [True, False])
+def test_changed_input_is_rewritten(ray_session, tmp_path, resume):
+    """Writing doc_ids 0-199, then 0-299 with new texts, to the same output
+    rewrites every partition whose key set changed (all 8 here) instead of
+    skipping it on its committed entry; ``resume=False`` rewrites all."""
+    out = str(tmp_path / "o")
+    writer.write_partitioned(_docs(200, "old"), out, key="doc_id", n_partitions=8)
+    r = writer.write_partitioned(
+        _docs(300, "new"), out, key="doc_id", n_partitions=8, resume=resume
+    )
+    assert r == {"written": 300, "skipped_partitions": 0}
+    back = writer.read_partitioned(out).sort_by("doc_id")
+    assert back.column("doc_id").to_pylist() == list(range(300))
+    assert back.column("text").to_pylist() == ["new%d" % i for i in range(300)]
+    entries = mf.completed_partitions(out, n_partitions=8)
+    assert sum(e["n_docs"] for e in entries.values()) == 300
+
+
+def test_key_only_pass_only_with_committed_partitions(ray_session, tmp_path):
+    """A fresh write never builds the key-only input; a rerun over
+    committed partitions builds it once and skips them all."""
+    out = str(tmp_path / "o")
+    calls = []
+
+    def keys():
+        calls.append(1)
+        return _docs().select_columns(["doc_id"])
+
+    writer.write_partitioned(_docs(), out, key="doc_id", n_partitions=8, keys=keys)
+    assert calls == []
+    r = writer.write_partitioned(_docs(), out, key="doc_id", n_partitions=8, keys=keys)
+    assert calls == [1]
+    assert r == {"written": 0, "skipped_partitions": 8}
 
 
 def test_uncommitted_debris_cleaned(ray_session, tmp_path):
@@ -257,6 +293,46 @@ def test_block_fold_matches_python_loop():
     pids = [ref.partition_id(u, 7) for u in urls]
     assert [urls[i] for i in order] == [u for _, u in sorted(zip(pids, urls), key=lambda t: t[0])]
     assert [pids[order[s]] for s in starts] == sorted(want)
+
+
+_HEX = "0123456789abcdefABCDEF"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.none(),
+            st.text(_HEX, max_size=20),
+            st.sampled_from(["", "f" * 64, "F" * 64, "0" * 64]),
+            st.text(_HEX, min_size=64, max_size=64),
+        ),
+        max_size=40,
+    ),
+    st.data(),
+)
+def test_digest_prefixes_match_scalar_loop(values, data):
+    """The vectorized 64-bit digest prefixes equal ``int(d[:16], 16)`` per
+    row (0 for null and empty) over short, upper-case and all-``f``
+    values, on whole and sliced arrays, and their wrapped sum is
+    ``combine_digests``."""
+    arr = pa.array(values, pa.string())
+    start = data.draw(st.integers(0, len(values)))
+    stop = data.draw(st.integers(start, len(values)))
+    for got, want in (
+        (arr, values),
+        (arr.slice(start, stop - start), values[start:stop]),
+        (pa.chunked_array([arr.slice(0, start), arr.slice(start)]), values),
+    ):
+        expected = [ref.digest_prefix(d) for d in want]
+        assert mf.digest_prefixes(got).tolist() == expected
+        assert mf.combine_digests(got) == "{:016x}".format(sum(expected) & writer._U64)
+
+
+@pytest.mark.parametrize("bad", ["xyz", "0x12", " 12", "12\u00e9", "g" * 64])
+def test_digest_prefixes_reject_non_hex(bad):
+    with pytest.raises(ValueError):
+        mf.digest_prefixes(pa.array(["ab", bad]))
 
 
 @st.composite
