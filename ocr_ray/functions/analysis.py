@@ -169,7 +169,7 @@ def window_fingerprints(text: str, *, window: int = 32, stride: int = 16) -> lis
     if len(data) <= window:
         return [rolling_fingerprint(text)]
     prefix, b_pow = _prefix_hashes(data)
-    bw = np.uint64((b_pow[window - 1] * np.uint64(_ROLL_BASE)) & 0xFFFFFFFFFFFFFFFF)
+    bw = b_pow[window]  # B^w; in range, as len(data) > window
     starts = np.arange(0, len(data) - window + 1, stride)
     h = prefix[starts + window] - prefix[starts] * bw
     return [int(x) for x in h]

@@ -5,16 +5,16 @@
            [resume] check committed partitions' url digests  # url-only read
            drop rows of committed partitions                 # map-side filter
            transform: map_batches(extract_batch)             # detect+extract
-           map_batches(writer.write_block)                   # partitioned write
-           fold of the tiny stat partials in the caller      # no shuffle
+           bucketed_map_groups(url, writer.write_partition)  # one file per partition
+           fold of the tiny stat partials in the caller
            commit per-partition manifests
 
 Design notes for 100 TB (SURVEY §4):
 
 - the ``html`` binary column is read once, parsed once, and never crosses a
-  shuffle; the only wide op in the exploded variant is the url-bucket
-  reassembly shuffle over *post-extraction* text rows (small relative to
-  the input payloads).
+  shuffle; the wide ops run over *post-extraction* text rows (small
+  relative to the input payloads): the write's partition shuffle, and in
+  the exploded variant the url-bucket reassembly shuffle before it.
 - ``partition_id = key_hash(url) % P`` (``functions.strhash.key_hash``, the
   hash of every shuffle bucket too) breaks host-level clustering (hot hosts
   arrive contiguously in crawl order); P is the resume granule, sized so a
@@ -23,13 +23,13 @@ Design notes for 100 TB (SURVEY §4):
   layout is rewritten, never trusted.
 - the resume protocol and the write are
   :func:`ocr_ray.pipelines.writer.write_partitioned`'s, shared with every
-  other partitioned output: each task sorts its block by partition id once,
-  writes one file per partition it holds under ``partition_id=N/`` and
-  folds (rows, url key-hash sum, digest sum) per partition.  Files are named
-  ``part-<task id>-<attempt salt>-<per-task sequence>.parquet``, so two
-  blocks never share a name — even when they carry the same urls for a
-  partition (a recrawl) — and a retried task sweeps its failed attempt's
-  files.
+  other partitioned output: the write is a keyed-bucket shuffle on url with
+  one bucket per partition, so a reduce task holds one whole partition,
+  writes it to ``partition_id=N/part-0.parquet`` and folds its (rows, url
+  key-hash sum, digest sum).  Each run writes one file per partition it
+  writes, whatever the block count; a recrawl's rows of one url land in
+  that one file, and a retried task rewrites the same path.  ROADMAP item
+  12 measures what holding a whole partition costs at scale.
 - error rows flow through as ``status='error'`` instead of poisoning a
   batch; the manifest commit is the atomic gate: a partition dir without a
   committed manifest is debris and is deleted before a resume recomputes
@@ -149,6 +149,7 @@ def run_extraction(
 
 
 def read_extracted(output_dir: str) -> pa.Table:
-    """Driver-side read-back of a finished run, sorted by url (test helper)."""
+    """Driver-side read-back of a finished run, sorted by url, then digest
+    for a url crawled more than once (test helper)."""
     tbl = pq.read_table(output_dir)
-    return tbl.sort_by("url")
+    return tbl.sort_by([("url", "ascending"), ("digest", "ascending")])

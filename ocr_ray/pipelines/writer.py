@@ -14,26 +14,32 @@ Every output gets the same guarantees:
   output), deletes debris of partitions that died between write and
   commit, and recomputes only the missing key ranges.
 
-Each write task sorts its block by partition id once, writes each
-partition's slice (zero-copy after the one ``take``) with its format's
-writer, and folds a tiny per-partition stat partial with
-``np.add.reduceat``; the driver streams the partials and adds them into
-dense per-partition arrays (:func:`fold_partials`), so the fold needs no
-shuffle and O(``n_partitions``) memory.
+The write runs on the keyed-bucket shuffle
+(``groupagg.bucketed_map_groups`` on ``key`` with ``n_partitions``
+buckets): the bucket id is the partition id, so each reduce task holds
+one whole partition and writes it to one file with a fixed name
+(:func:`write_partition`).  A run writes one file per partition it
+writes, whatever the input's block count, and a retried task rewrites
+the same path.  The cost is that one task holds a whole partition in
+memory; ROADMAP item 12 measures that hold at scale.  Each task also
+folds its partition's tiny stat partial; the driver streams the partials
+and adds them into dense per-partition arrays (:func:`fold_partials`), so
+the fold needs O(``n_partitions``) memory.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import shutil
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
-import ray
 import ray.data
 
 from ..functions.strhash import key_hash
+from ..stages.groupagg import bucketed_map_groups
 from ..state import manifest as mf
 
 _U64 = (1 << 64) - 1
@@ -50,29 +56,6 @@ STATS_SCHEMA = pa.schema(
         ("digest_sum", pa.uint64()),
     ]
 )
-
-
-#: Per-task write sequence: distinguishes blocks written by the SAME task
-#: (same task id + salt would otherwise collide and silently overwrite,
-#: under-writing rows the manifest counted).  Each (process, task)
-#: execution also draws a random ATTEMPT SALT: a retried task — whether on
-#: a fresh worker or a REUSED one (Ray reuses worker processes, so a
-#: process-global counter alone would keep counting and leave the first
-#: attempt's files behind) — carries a different salt, and every write
-#: first sweeps same-task files bearing a foreign salt from the partition
-#: dirs it touches.  Deterministic blocks => a retry touches the same
-#: partitions, so all prior-attempt debris is swept before commit.
-_TASK_SEQ: dict = {}
-
-
-def _task_salt_seq(task_id: str) -> tuple:
-    import uuid
-
-    salt, n = _TASK_SEQ.get(task_id, (None, 0))
-    if salt is None:
-        salt = uuid.uuid4().hex[:8]
-    _TASK_SEQ[task_id] = (salt, n + 1)
-    return salt, n
 
 
 def _write_jsonl(tbl: pa.Table, path: str) -> None:
@@ -139,13 +122,13 @@ def _sort_block(batch: pa.Table, key: str, n_partitions: int, digest=None):
 
 
 def block_stats(batch: pa.Table, *, key: str, n_partitions: int) -> pa.Table:
-    """The stat partial :func:`write_block` would return, nothing written
-    (the resume side's input digest)."""
+    """The per-partition stat partial of ``batch`` (STATS_SCHEMA, no
+    digest), nothing written: the resume side's input digest."""
     return _sort_block(batch, key, n_partitions)[2]
 
 
-def write_block(
-    batch: pa.Table,
+def write_partition(
+    rows: pa.Table,
     *,
     output_dir: str,
     key: str,
@@ -153,37 +136,24 @@ def write_block(
     format: str = "parquet",
     digest: str | None = None,
 ) -> pa.Table:
-    """Write one block under ``partition_id=N/`` dirs; return its stat
-    partial (STATS_SCHEMA): rows and ``key_hash`` sum of ``key`` per
-    partition, plus the sum of the 64-bit prefixes of the hex ``digest``
-    column when given.
-
-    File names are task id + attempt salt + per-task sequence: blocks
-    never share a name, whatever their content, so no block can overwrite
-    another's rows."""
+    """Write the rows of ONE partition (one bucket of the keyed-bucket
+    shuffle) to its one file, ``partition_id=N/part-0.<ext>``; return its
+    stat partial (STATS_SCHEMA): rows and ``key_hash`` sum of ``key``,
+    plus the sum of the 64-bit prefixes of the hex ``digest`` column when
+    given.  A retried task rewrites the same path, so a retry leaves no
+    second copy.  Raises if ``rows`` span more than one partition."""
     ext, write_fn, _ = FORMATS[format]
-    order, starts, partial = _sort_block(batch, key, n_partitions, digest)
-    if not batch.num_rows:
-        return partial
-    try:
-        task_id = ray.get_runtime_context().get_task_id() or "driver"
-    except Exception:
-        task_id = "driver"
-    salt, seq = _task_salt_seq(task_id)
-    prefix = "part-{}-".format(task_id[:12])
-    fname = "part-{}-{}-{}{}".format(task_id[:12], salt, seq, ext)
-    rows = batch.take(order)
-    for pid, s, n in zip(
-        partial.column("partition_id").to_pylist(),
-        starts.tolist(),
-        partial.column("n_rows").to_pylist(),
-    ):
+    _, starts, partial = _sort_block(rows, key, n_partitions, digest)
+    if len(starts) > 1:
+        raise ValueError(
+            "one write call got partitions {}; a bucket must hold exactly "
+            "one partition".format(partial.column("partition_id").to_pylist())
+        )
+    if rows.num_rows:
+        pid = partial.column("partition_id")[0].as_py()
         pdir = os.path.join(output_dir, "partition_id={}".format(pid))
         os.makedirs(pdir, exist_ok=True)
-        for old in os.listdir(pdir):
-            if old.startswith(prefix) and "-{}-".format(salt) not in old:
-                os.remove(os.path.join(pdir, old))
-        write_fn(rows.slice(s, n), os.path.join(pdir, fname))
+        write_fn(rows, os.path.join(pdir, "part-0" + ext))
     return partial
 
 
@@ -293,14 +263,14 @@ def write_partitioned(
         )
     if transform is not None:
         ds = transform(ds)
-    partials = ds.map_batches(
-        write_block,
-        fn_kwargs={
-            "output_dir": output_dir, "key": key, "n_partitions": n_partitions,
-            "format": format, "digest": digest,
-        },
-        batch_format="pyarrow",
-        batch_size=None,
+    partials = bucketed_map_groups(
+        ds,
+        [key],
+        functools.partial(
+            write_partition, output_dir=output_dir, key=key,
+            n_partitions=n_partitions, format=format, digest=digest,
+        ),
+        n_buckets=n_partitions,
     )
     written = 0
     for r in fold_partials(partials, n_partitions):
@@ -329,121 +299,13 @@ def clean_debris(output_dir: str, *, committed=frozenset()) -> int:
     return removed
 
 
-def compact_partitioned(
-    output_dir: str,
-    *,
-    target_bytes: int = 128 << 20,
-    digest: str | None = None,
-) -> dict:
-    """Small-files compaction over a committed partitioned output: every
-    partition whose parquet files are smaller than ``target_bytes`` in
-    aggregate-per-file terms is rewritten into ~``ceil(total/target)``
-    right-sized files.  The lakehouse maintenance pass — streaming writers
-    land one file per (task, partition) and a 100 TB run leaves millions
-    of KB-sized files that throttle every later scan.
-
-    Guarantees:
-
-    - manifest rows stay authoritative: each partition's row count and
-      digests are UNCHANGED (compaction re-groups bytes, never rows), so
-      committed lineage remains valid and resume semantics survive;
-    - never launders corruption: a partition whose rows on disk disagree
-      with its committed ``n_docs`` — or, with ``digest`` set, whose
-      combined ``digest`` column disagrees with its committed
-      ``output_digest`` — is left untouched and counted as skipped;
-    - crash-safe: compacted files build in a hidden ``.compact-N.tmp``
-      sibling (invisible to read_partitioned/clean_debris), then the swap
-      is two renames — a crash leaves either the old files or the new
-      ones, never both visible;
-    - distributed: one Ray task per partition via ``map_batches`` over
-      the partition-id list (file-level work, no data shuffle).
-
-    Parquet-only by design: jsonl/csv are interchange sinks, not scan
-    stores — partitions holding non-parquet files are left untouched.
-    """
-    import glob
-
-    done = mf.completed_partitions(output_dir)
-    # sweep orphaned temp dirs of a previous compaction crash
-    for tmp in glob.glob(os.path.join(output_dir, ".compact-*.tmp")) + glob.glob(
-        os.path.join(output_dir, ".old-*.tmp")
-    ):
-        shutil.rmtree(tmp, ignore_errors=True)
-    if not done:
-        return {"compacted_partitions": 0, "skipped_partitions": 0,
-                "files_before": 0, "files_after": 0}
-
-    def compact_one(batch: pa.Table) -> pa.Table:
-        out_pid, out_before, out_after = [], [], []
-        for pid in batch.column("pid").to_pylist():
-            pdir = os.path.join(output_dir, "partition_id={}".format(pid))
-            if not os.path.isdir(pdir):  # committed but gone: skip, count
-                out_pid.append(pid)
-                out_before.append(0)
-                out_after.append(0)
-                continue
-            files = sorted(
-                f for f in os.listdir(pdir) if f.endswith(".parquet")
-            )
-            paths = [os.path.join(pdir, f) for f in files]
-            total = sum(os.path.getsize(p) for p in paths)
-            n_out = max(1, -(-total // target_bytes))  # ceil
-            out_pid.append(pid)
-            out_before.append(len(files))
-            out_after.append(len(files))
-            if len(files) <= n_out:  # already right-sized
-                continue
-            tbl = pa.concat_tables(pq.read_table(p) for p in paths)
-            entry = done[pid]
-            if tbl.num_rows != entry["n_docs"] or (
-                digest
-                and mf.combine_digests(tbl.column(digest))
-                != entry["output_digest"]
-            ):
-                continue  # integrity mismatch: leave the partition alone
-            tmp = os.path.join(output_dir, ".compact-{}.tmp".format(pid))
-            shutil.rmtree(tmp, ignore_errors=True)
-            os.makedirs(tmp)
-            rows_per = -(-tbl.num_rows // n_out)
-            for k in range(int(n_out)):
-                part = tbl.slice(k * rows_per, rows_per)
-                if part.num_rows == 0:
-                    break
-                pq.write_table(part, os.path.join(tmp, "compact-{}.parquet".format(k)))
-            old = os.path.join(output_dir, ".old-{}.tmp".format(pid))
-            os.rename(pdir, old)
-            os.rename(tmp, pdir)
-            shutil.rmtree(old, ignore_errors=True)
-            out_after[-1] = len(os.listdir(pdir))
-        return pa.table(
-            {
-                "pid": pa.array(out_pid, pa.int64()),
-                "before": pa.array(out_before, pa.int64()),
-                "after": pa.array(out_after, pa.int64()),
-            }
-        )
-
-    pids = ray.data.from_arrow(
-        pa.table({"pid": pa.array(sorted(done), pa.int64())})
-    )
-    stats = pids.map_batches(compact_one, batch_format="pyarrow").to_pandas()
-    compacted = int((stats["after"] < stats["before"]).sum())
-    return {
-        "compacted_partitions": compacted,
-        "skipped_partitions": len(stats) - compacted,
-        "files_before": int(stats["before"].sum()),
-        "files_after": int(stats["after"].sum()),
-    }
-
-
 def read_partitioned(output_dir: str) -> pa.Table:
     """All committed partitions back as one Arrow table (test-scale
     helper; at scale, ``ray.data.read_parquet(output_dir)`` streams it).
 
     Validates each partition's on-disk row count against its manifest
-    entry — any residual write duplication (e.g. a retried task whose
-    debris escaped the salt sweep) raises loudly instead of returning
-    silently duplicated rows."""
+    entry — a stray second file in a partition directory raises loudly
+    instead of returning silently duplicated rows."""
     readers = {ext: read_fn for ext, _, read_fn in FORMATS.values()}
     parts = []
     for pid, entry in sorted(mf.completed_partitions(output_dir).items()):

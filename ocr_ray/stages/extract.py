@@ -10,15 +10,19 @@ Two shapes are provided:
 - :func:`extract_batch` — fused detect+extract on stateless tasks: one
   pages row in, one EXTRACTED row out.  The default path: no shuffle at
   all.
-- :class:`BlockExtractor` (an actor-pool callable) + :func:`assemble_group`
+- :class:`BlockExtractor` (an actor-pool callable) + :func:`assemble_bucket`
   — the exploded path:
-  stage 1 emits one row per paragraph block, a ``groupby('url')``
-  reassembles documents in document order (the north rule's one true
-  shuffle, SURVEY §2.6 G12).  Byte-identical to the fused path; used when
-  giant documents must be split across tasks.
+  stage 1 emits one row per paragraph block, tagged with its input row's
+  run-unique ``doc`` id; a url-bucket shuffle reassembles each input row
+  in document order (the north rule's one true shuffle, SURVEY §2.6 G12).
+  Byte-identical to the fused path, one output row per input row (a
+  recrawled url stays two documents); used when giant documents must be
+  split across tasks.
 """
 
 from __future__ import annotations
+
+import os
 
 import pyarrow as pa
 
@@ -64,6 +68,7 @@ def extract_batch(
 _BLOCK_SCHEMA = pa.schema(
     [
         ("url", pa.string()),
+        ("doc", pa.int64()),
         ("order", pa.int32()),
         ("type", pa.string()),
         ("text", pa.string()),
@@ -86,10 +91,13 @@ class BlockExtractor:
     """Stage 1 of the exploded path: pages -> one row per paragraph block.
 
     Emits a sentinel row (order = -1) per document so empty/error documents
-    survive the groupby."""
+    survive the groupby.  Every row of one input row carries the same
+    ``doc`` id: a random per-batch salt plus the row index, unique within
+    the run, so two crawls of one url reassemble as two documents."""
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         rows = []
+        salt = int.from_bytes(os.urandom(8), "little") >> 2
         urls = batch.column("url").to_pylist()
         payloads = batch.column("html").to_pylist()
         langs = (
@@ -97,9 +105,9 @@ class BlockExtractor:
             if "lang" in batch.column_names
             else [""] * len(urls)
         )
-        for url, payload, lang in zip(urls, payloads, langs):
+        for i, (url, payload, lang) in enumerate(zip(urls, payloads, langs)):
             base = {
-                "url": url, "order": -1, "type": "", "text": "", "page": 0,
+                "url": url, "doc": salt + i, "order": -1, "type": "", "text": "", "page": 0,
                 "is_footnote": False, "is_header": False, "is_page_number": False,
                 "footnote_index": 0, "footnotes": [], "title": "",
                 "kind": "", "status": "ok", "error": "", "lang": lang,
@@ -136,7 +144,8 @@ class BlockExtractor:
 
 
 def _assemble_one(rows: list[dict], footnote_mode: str) -> dict:
-    """Block rows of ONE url (sorted by order) -> one EXTRACTED row dict."""
+    """Block rows of ONE document (one url and doc id, sorted by order)
+    -> one EXTRACTED row dict."""
     head = rows[0]
     url, lang = head["url"], head["lang"]
     if head["status"] == "error":
@@ -174,31 +183,24 @@ def _assemble_one(rows: list[dict], footnote_mode: str) -> dict:
     }
 
 
-def assemble_group(group: pa.Table, *, footnote_mode: str = "keep") -> pa.Table:
-    """``groupby('url').map_groups`` fn: block rows -> one EXTRACTED row.
-
-    Order is derived from the data (the explicit ``order`` column), never
-    from executor block order (SURVEY §4 ordering row)."""
-    rows = group.sort_by("order").to_pylist()
-    return pa.Table.from_pylist(
-        [_assemble_one(rows, footnote_mode)], schema=EXTRACTED
-    )
-
-
 def assemble_bucket(group: pa.Table, *, footnote_mode: str = "keep") -> pa.Table:
     """Per-bucket fn of the exploded-mode reassembly shuffle
-    (``groupagg.bucketed_map_groups`` on ``url``): ALL urls of one hash
-    bucket assembled in one pass (runs over rows sorted by (url, order)).
+    (``groupagg.bucketed_map_groups`` on ``url``): ALL documents of one
+    hash bucket assembled in one pass over rows sorted by (url, doc,
+    order), one EXTRACTED row per (url, doc), i.e. per input row.
 
     One Python call per url (600k map_groups invocations for 600k docs) is
     ~10x slower than the shuffle itself; bucketing by url-hash turns that
-    into one call per bucket — the guide's coarse-key groupby pattern.
-    Output is byte-identical to :func:`assemble_group`."""
-    rows = group.sort_by([("url", "ascending"), ("order", "ascending")]).to_pylist()
+    into one call per bucket — the guide's coarse-key groupby pattern."""
+    rows = group.sort_by(
+        [("url", "ascending"), ("doc", "ascending"), ("order", "ascending")]
+    ).to_pylist()
     out: list[dict] = []
     start = 0
     for i in range(1, len(rows) + 1):
-        if i == len(rows) or rows[i]["url"] != rows[start]["url"]:
+        if i == len(rows) or (rows[i]["url"], rows[i]["doc"]) != (
+            rows[start]["url"], rows[start]["doc"]
+        ):
             out.append(_assemble_one(rows[start:i], footnote_mode))
             start = i
     return pa.Table.from_pylist(out, schema=EXTRACTED)

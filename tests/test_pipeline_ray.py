@@ -13,7 +13,6 @@ import pytest
 
 from ocr_ray import reference, synth
 from ocr_ray.pipelines import extraction as ex
-from ocr_ray.pipelines import writer as wr
 from ocr_ray.state import manifest as mf
 
 from . import keyhash_reference as ref
@@ -169,95 +168,6 @@ def test_crash_between_write_and_commit(ray_session, corpus, oracle, tmp_path_fa
     assert len(urls) == len(set(urls)) == N_PAGES  # no duplicates
     back = ex.read_extracted(out).select(oracle.column_names).cast(oracle.schema)
     assert back.sort_by("url").equals(oracle)
-
-
-def test_compact_partitions(ray_session, corpus, oracle, tmp_path_factory):
-    """Output maintenance: many small per-task files merge to one per
-    partition with byte-identical content, digest-verified against the
-    manifest; resume afterwards still skips everything."""
-    import os
-
-    out = str(tmp_path_factory.mktemp("extract_compact"))
-    # multi-file source -> multiple writer tasks -> multiple files per
-    # partition (one in-memory table would land in a single block)
-    src = str(tmp_path_factory.mktemp("extract_compact_src"))
-    step = corpus.num_rows // 6
-    for i in range(6):
-        pq.write_table(
-            corpus.slice(i * step, step if i < 5 else corpus.num_rows - 5 * step),
-            "{}/part-{}.parquet".format(src, i),
-        )
-    ex.run_extraction(src, out, n_partitions=4, batch_size=8)
-    n_before = sum(
-        len([f for f in os.listdir(os.path.join(out, d)) if f.endswith(".parquet")])
-        for d in os.listdir(out) if d.startswith("partition_id=")
-    )
-    stats = wr.compact_partitioned(out, digest="digest")
-    assert stats["compacted_partitions"] >= 1
-    for d in os.listdir(out):
-        if d.startswith("partition_id="):
-            files = [f for f in os.listdir(os.path.join(out, d)) if f.endswith(".parquet")]
-            assert len(files) == 1
-    assert n_before > 4
-    back = ex.read_extracted(out).select(oracle.column_names).cast(oracle.schema)
-    assert back.sort_by("url").equals(oracle)
-    # manifests untouched: full resume skips all partitions
-    stats2 = ex.run_extraction(src, out, n_partitions=4)
-    assert stats2 == {"extracted": 0, "skipped_partitions": 4}
-
-
-def test_compact_aborts_on_corruption(ray_session, corpus, tmp_path_factory):
-    """A partition whose content no longer matches its committed digest is
-    left untouched (compaction must never launder corruption)."""
-    import os
-
-    import pyarrow.parquet as pq_mod
-
-    out = str(tmp_path_factory.mktemp("extract_compact_bad"))
-    src = str(tmp_path_factory.mktemp("extract_compact_bad_src"))
-    step = corpus.num_rows // 6
-    for i in range(6):
-        pq.write_table(
-            corpus.slice(i * step, step if i < 5 else corpus.num_rows - 5 * step),
-            "{}/part-{}.parquet".format(src, i),
-        )
-    ex.run_extraction(src, out, n_partitions=2, batch_size=8)
-    # corrupt partition 0: drop one row file
-    pdir = os.path.join(out, "partition_id=0")
-    victim = sorted(f for f in os.listdir(pdir) if f.endswith(".parquet"))[0]
-    os.remove(os.path.join(pdir, victim))
-    n_files = {
-        d: len(os.listdir(os.path.join(out, d)))
-        for d in os.listdir(out) if d.startswith("partition_id=")
-    }
-    stats = wr.compact_partitioned(out, digest="digest")
-    assert stats["skipped_partitions"] >= 1
-    # corrupted partition untouched (same file count)
-    assert len(os.listdir(pdir)) == n_files["partition_id=0"]
-
-
-def test_compact_skips_missing_partition_dir(ray_session, corpus, tmp_path_factory):
-    """A committed partition whose directory is gone is skipped and
-    counted; every other partition is still compacted."""
-    import os
-    import shutil
-
-    out = str(tmp_path_factory.mktemp("extract_compact_gone"))
-    src = str(tmp_path_factory.mktemp("extract_compact_gone_src"))
-    step = corpus.num_rows // 6
-    for i in range(6):
-        pq.write_table(
-            corpus.slice(i * step, step if i < 5 else corpus.num_rows - 5 * step),
-            "{}/part-{}.parquet".format(src, i),
-        )
-    ex.run_extraction(src, out, n_partitions=4, batch_size=8)
-    shutil.rmtree(os.path.join(out, "partition_id=1"))
-    stats = wr.compact_partitioned(out, digest="digest")
-    assert stats["skipped_partitions"] >= 1
-    assert stats["compacted_partitions"] + stats["skipped_partitions"] == 4
-    for pid in (0, 2, 3):
-        pdir = os.path.join(out, "partition_id={}".format(pid))
-        assert len([f for f in os.listdir(pdir) if f.endswith(".parquet")]) == 1
 
 
 def test_cli_batch_size_default_is_run_extractions(ray_session, monkeypatch):

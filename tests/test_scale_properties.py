@@ -53,14 +53,24 @@ def test_partition_id_deterministic():
 
 def test_exploded_run_and_resume(ray_session, tmp_path_factory):
     """run_extraction(mode='exploded') — the groupby(url) reassembly path —
-    must write the same bytes as fused and resume identically."""
+    must write the same bytes as fused and resume identically, also when
+    a url comes back as a recrawl with edited html: one output row per
+    input row, never the two crawls' blocks merged into one document."""
+    import pyarrow as pa
+
     corpus = synth.synth_corpus(48)
+    recrawl = corpus.slice(0, 1).set_column(
+        corpus.schema.get_field_index("html"), "html",
+        pa.array([corpus["html"][0].as_py().replace(b"<p>", b"<p>recrawl edited ", 1)]),
+    )
+    corpus = pa.concat_tables([corpus, recrawl])
     out_f = str(tmp_path_factory.mktemp("fused"))
     out_e = str(tmp_path_factory.mktemp("exploded"))
     ex.run_extraction(corpus, out_f, n_partitions=4, mode="fused")
     ex.run_extraction(corpus, out_e, n_partitions=4, mode="exploded")
     a = ex.read_extracted(out_f)
     b = ex.read_extracted(out_e).select(a.column_names).cast(a.schema)
+    assert a.num_rows == 49
     assert a.equals(b)
     stats = ex.run_extraction(corpus, out_e, n_partitions=4, mode="exploded")
     assert stats == {"extracted": 0, "skipped_partitions": 4}

@@ -223,11 +223,12 @@ def test_bucket_guard_catches_hand_rolled_copies():
     }
 
 
-#: the steps of the resume protocol; outside ``state/manifest.py`` they may
-#: appear only inside ``pipelines/writer.write_partitioned``
+#: the steps of the resume protocol and the partition-file write; outside
+#: ``state/manifest.py`` they may appear only inside
+#: ``pipelines/writer.write_partitioned``
 RESUME_STEPS = {
     "purge_mismatched", "invalidate_partition", "clean_debris",
-    "drop_partitions", "commit_partition",
+    "drop_partitions", "commit_partition", "write_partition",
 }
 
 
@@ -251,8 +252,9 @@ def _resume_step_findings(tree) -> list:
 
 def test_one_resume_protocol():
     """Only ``writer.write_partitioned`` runs the resume protocol (purge,
-    digest check and invalidate, debris cleanup, skip filter, commit): no
-    other function in ``ocr_ray/`` uses one of its steps."""
+    digest check and invalidate, debris cleanup, skip filter, commit) and
+    writes partition files: no other function in ``ocr_ray/`` uses one of
+    its steps."""
     import ast
     import pathlib
 
@@ -281,13 +283,14 @@ def test_resume_guard_catches_hand_rolled_copies():
         "    mf.clear(out)\n"
         "    wr.clean_debris(out, committed=frozenset())\n"
         "    ds = ds.map_batches(wr.drop_partitions, fn_kwargs={})\n"
+        "    parts = bucketed_map_groups(ds, [k], partial(write_partition, out))\n"
         "    seen.clear()\n"
         "    for r in rows:\n"
         "        commit_partition(out, r, n_docs=1, input_digest='', output_digest='')\n"
     )
     assert sorted(what for _, _, what in _resume_step_findings(ast.parse(src))) == sorted(
         ["purge_mismatched", "invalidate_partition", "mf.clear", "clean_debris",
-         "drop_partitions", "commit_partition"]
+         "drop_partitions", "write_partition", "commit_partition"]
     )
 
 

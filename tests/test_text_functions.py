@@ -2,6 +2,7 @@
 (mirrors the reference's tests/test_utils_text.py operator coverage)."""
 
 import pyarrow as pa
+import pytest
 
 from ocr_ray.functions import analysis, cleaners, textproc
 from ocr_ray.functions.tokenizer import BLANK, Tokenizer, pad_batch, slice_outputs
@@ -148,6 +149,27 @@ def test_fingerprints():
     w = analysis.window_fingerprints("x" * 100, window=32, stride=16)
     assert len(w) == 5
     assert analysis.window_fingerprints("short") == [analysis.rolling_fingerprint("short")]
+
+
+@pytest.mark.parametrize("window,stride", [(1, 1), (5, 3), (32, 16), (99, 7)])
+def test_window_fingerprints_no_overflow_warning(window, stride):
+    """No numpy overflow warning (an error here), and the values equal the
+    former ``prefix[i+w] - prefix[i] * (b_pow[w-1] * B)`` taken mod 2^64
+    with Python integers."""
+    import warnings
+
+    text = "the quick brown fox — jumps over the lazy dog " * 3
+    data = text.encode("utf-8")
+    prefix, b_pow = analysis._prefix_hashes(data)
+    bw = int(b_pow[window - 1]) * analysis._ROLL_BASE % 2**64
+    want = [
+        (int(prefix[i + window]) - int(prefix[i]) * bw) % 2**64
+        for i in range(0, len(data) - window + 1, stride)
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = analysis.window_fingerprints(text, window=window, stride=stride)
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

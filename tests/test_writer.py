@@ -115,9 +115,9 @@ def test_string_key_partitioning(ray_session, tmp_path):
 
 def test_same_key_multiset_blocks_both_land(ray_session, tmp_path):
     """Two blocks writing the same partition with an IDENTICAL key multiset
-    and row count but DIFFERENT payloads must land as two files (file
-    names carry task id + attempt salt + per-task sequence, not the key
-    sum) — the pre-fix name collided and silently dropped one block."""
+    and row count but DIFFERENT payloads must both land: the shuffle puts
+    the whole partition in one write call (a file name derived from the
+    key sum once collided and silently dropped one block)."""
     out = str(tmp_path / "o")
     t1 = pa.table({"k": pa.array(["s1"] * 4), "v": pa.array(range(4), pa.int64())})
     t2 = pa.table({"k": pa.array(["s1"] * 4), "v": pa.array(range(4, 8), pa.int64())})
@@ -132,7 +132,7 @@ def test_same_key_multiset_blocks_both_land(ray_session, tmp_path):
 def test_byte_identical_blocks_from_one_task_both_land(ray_session, tmp_path):
     """Regression (ADVICE r4 follow-up): two byte-identical blocks written
     by the SAME task used to collide on (task_id, digest, rows) and
-    silently overwrite — the per-task sequence number keeps both."""
+    silently overwrite — both must land in the partition's one file."""
     out = str(tmp_path / "o")
     tbl = pa.table(
         {
@@ -149,101 +149,67 @@ def test_byte_identical_blocks_from_one_task_both_land(ray_session, tmp_path):
     assert back.num_rows == 100  # was 50 on the overwrite bug when colocated
 
 
-def test_task_salt_seq_distinguishes_same_task_writes():
-    writer._TASK_SEQ.clear()
-    s1, a = writer._task_salt_seq("t1")
-    s1b, b = writer._task_salt_seq("t1")
-    s2, c = writer._task_salt_seq("t2")
-    assert (a, b, c) == (0, 1, 0)
-    assert s1 == s1b  # stable within one task execution
-    assert s1 != s2
-
-
 def test_read_partitioned_raises_on_duplicated_debris(ray_session, tmp_path):
     out = str(tmp_path / "o")
     writer.write_partitioned(_docs(40), out, key="doc_id", n_partitions=4)
-    # simulate a retried task's escaped debris: duplicate one data file
-    # under a foreign salt so the sweep would have missed it
+    # a stray second copy of the partition's file, under any other name
     import shutil
 
     pdir = os.path.join(out, "partition_id=0")
-    f = [x for x in os.listdir(pdir) if x.endswith(".parquet")][0]
-    parts = f.split("-")
-    parts[2] = "deadbeef"  # foreign attempt salt
-    shutil.copy(os.path.join(pdir, f), os.path.join(pdir, "-".join(parts)))
-    import pytest as _pytest
-
-    with _pytest.raises(ValueError, match="debris"):
+    assert os.listdir(pdir) == ["part-0.parquet"]
+    shutil.copy(os.path.join(pdir, "part-0.parquet"), os.path.join(pdir, "stray.parquet"))
+    with pytest.raises(ValueError, match="debris"):
         writer.read_partitioned(out)
 
 
-def test_compaction_merges_small_files_preserving_rows(ray_session, tmp_path):
-    out = str(tmp_path / "o")
-    # many input blocks -> many (task, partition) files per partition
-    ds = _docs(400).repartition(16)
-    writer.write_partitioned(ds, out, key="doc_id", n_partitions=4)
-    before = writer.read_partitioned(out)
-    n_files_before = sum(
-        len([f for f in os.listdir(os.path.join(out, d)) if f.endswith(".parquet")])
-        for d in os.listdir(out)
-        if d.startswith("partition_id=")
-    )
-    assert n_files_before > 4  # the small-files problem exists
-
-    r = writer.compact_partitioned(out, target_bytes=1 << 30)
-    assert r["compacted_partitions"] == 4
-    assert r["files_before"] == n_files_before
-    assert r["files_after"] == 4  # one right-sized file per partition
-
-    # rows + content + manifests all unchanged (read validates counts)
-    after = writer.read_partitioned(out)
-    assert sorted(after.column("doc_id").to_pylist()) == sorted(
-        before.column("doc_id").to_pylist()
-    )
-    assert len(mf.completed_partitions(out, n_partitions=4)) == 4
-
-    # idempotent: a second pass finds nothing to do
-    r2 = writer.compact_partitioned(out, target_bytes=1 << 30)
-    assert r2["compacted_partitions"] == 0
-    assert r2["files_after"] == 4
-
-
-def test_compaction_sweeps_crashed_temp_dirs(ray_session, tmp_path):
+def test_retried_write_leaves_one_file(tmp_path):
+    """A retry runs the write fn again on the same group: it rewrites the
+    partition's one file, so the rows are on disk once, and it returns
+    the same partial."""
     import pyarrow.parquet as pq
 
     out = str(tmp_path / "o")
-    writer.write_partitioned(_docs(100), out, key="doc_id", n_partitions=4)
-    # simulate a compaction that died between build and swap
-    junk = os.path.join(out, ".compact-2.tmp")
-    os.makedirs(junk)
-    pq.write_table(pa.table({"doc_id": pa.array([999])}), junk + "/x.parquet")
-    old = os.path.join(out, ".old-1.tmp")
-    os.makedirs(old)
+    tbl = _docs_table(200)
+    group = tbl.filter(pa.array([ref.partition_id(i, 4) == 1 for i in range(200)]))
+    first = writer.write_partition(group, output_dir=out, key="doc_id", n_partitions=4)
+    again = writer.write_partition(group, output_dir=out, key="doc_id", n_partitions=4)
+    assert first.equals(again)
+    assert first.column("n_rows").to_pylist() == [group.num_rows]
+    assert os.listdir(out) == ["partition_id=1"]
+    assert os.listdir(os.path.join(out, "partition_id=1")) == ["part-0.parquet"]
+    assert pq.read_table(os.path.join(out, "partition_id=1", "part-0.parquet")).equals(group)
 
-    writer.compact_partitioned(out, target_bytes=1 << 30)
-    assert not os.path.exists(junk) and not os.path.exists(old)
-    back = writer.read_partitioned(out)
-    assert back.num_rows == 100  # the junk row never leaks into reads
+
+def test_write_partition_rejects_two_partitions(tmp_path):
+    """A write call whose rows span two partitions raises instead of
+    writing either: the layout keeps one partition per bucket."""
+    with pytest.raises(ValueError, match="exactly one partition"):
+        writer.write_partition(
+            _docs_table(50), output_dir=str(tmp_path / "o"), key="doc_id", n_partitions=4
+        )
+    assert not os.path.exists(tmp_path / "o")
 
 
 def test_jsonl_and_csv_sink_roundtrip_with_resume(ray_session, tmp_path):
     """Interchange sinks keep every writer guarantee: round-trip content,
     manifest row counts, and resume skipping — only the body serializer
-    changes."""
+    changes.  In every format, an input of many blocks leaves exactly one
+    file per partition, after the full run and after the resume."""
     import shutil
 
-    for fmt, ext in (("jsonl", ".jsonl"), ("csv", ".csv")):
+    def one_file_each(out, ext):
+        return all(
+            os.listdir(os.path.join(out, "partition_id=%d" % pid)) == ["part-0" + ext]
+            for pid in range(4)
+        )
+
+    for fmt, ext in (("parquet", ".parquet"), ("jsonl", ".jsonl"), ("csv", ".csv")):
         out = str(tmp_path / fmt)
         r = writer.write_partitioned(
-            _docs(), out, key="doc_id", n_partitions=4, format=fmt
+            _docs().repartition(8), out, key="doc_id", n_partitions=4, format=fmt
         )
         assert r == {"written": 200, "skipped_partitions": 0}
-        files = [
-            f
-            for pid in range(4)
-            for f in os.listdir(os.path.join(out, "partition_id=%d" % pid))
-        ]
-        assert files and all(f.endswith(ext) for f in files)
+        assert one_file_each(out, ext)
         back = writer.read_partitioned(out)
         assert sorted(back.column("doc_id").to_pylist()) == list(range(200))
         assert sorted(back.column("text").to_pylist()) == sorted(
@@ -253,9 +219,10 @@ def test_jsonl_and_csv_sink_roundtrip_with_resume(ray_session, tmp_path):
         shutil.rmtree(os.path.join(out, "partition_id=2"))
         mf.invalidate_partition(out, 2)
         r2 = writer.write_partitioned(
-            _docs(), out, key="doc_id", n_partitions=4, format=fmt
+            _docs().repartition(8), out, key="doc_id", n_partitions=4, format=fmt
         )
         assert r2["skipped_partitions"] == 3
+        assert one_file_each(out, ext)
         assert writer.read_partitioned(out).num_rows == 200
 
 
@@ -392,8 +359,13 @@ def _commit_crc32_layout(monkeypatch, tbl, out, *, key, n_partitions, digest=Non
 
     with monkeypatch.context() as m:
         m.setattr(writer, "key_hash", _crc32_key_hash)
-        partial = writer.write_block(
-            tbl, output_dir=out, key=key, n_partitions=n_partitions, digest=digest
+        pids = _crc32_key_hash(tbl, [key]) % np.uint64(n_partitions)
+        partial = pa.concat_tables(
+            writer.write_partition(
+                tbl.filter(pa.array(pids == p)), output_dir=out, key=key,
+                n_partitions=n_partitions, digest=digest,
+            )
+            for p in np.unique(pids)
         )
     pids = partial.column("partition_id").to_pylist()
     for r in partial.to_pylist():
