@@ -25,7 +25,12 @@ from __future__ import annotations
 import hashlib
 
 from . import doc_parsers, html_extract, minipdf, pdf_extract
-from .functions.metrics import SpanSketch, is_near_duplicate_cached, rejected_by_bounds
+from .functions.metrics import (
+    SpanSketch,
+    is_near_duplicate_cached,
+    near_pairs,
+    rejected_by_bounds,
+)
 
 NEAR_DUP_THRESHOLD = 0.2   # base_ocr.py:716-723
 NEAR_DUP_WINDOW = 5        # compare against the last k emitted spans
@@ -43,26 +48,56 @@ def filter_duplicate_spans(paragraphs: list[dict]) -> list[dict]:
     bound cascade of :func:`~ocr_ray.functions.metrics.rejected_by_bounds`;
     only pairs no bound rejects reach :func:`is_near_duplicate_cached`
     and its exact edit-distance test.
-    """
+
+    For every pair of candidate spans at most :data:`NEAR_DUP_WINDOW`
+    apart (the window's reach when nothing was dropped), the bounds run
+    up front in one vectorized :func:`~ocr_ray.functions.metrics.near_pairs`
+    pass; a window slot further back (only after drops) gets the per-pair
+    cascade.  Bounds only prune, so keep/drop decisions do not
+    depend on which path a pair took."""
+    (near,) = near_pairs(
+        [_candidate_spans(paragraphs)], NEAR_DUP_WINDOW, NEAR_DUP_THRESHOLD
+    )
+    return _filter_spans(paragraphs, near)
+
+
+def _candidate_spans(paragraphs: list[dict]) -> list[str]:
+    """The texts the near-dup test compares, in order."""
+    return [
+        p["text"] for p in paragraphs
+        if p["type"] == "text" and len(p["text"]) <= NEAR_DUP_MAX_LEN
+    ]
+
+
+def _filter_spans(paragraphs: list[dict], near: set[tuple[int, int]]) -> list[dict]:
+    """:func:`filter_duplicate_spans` given the ``near_pairs`` survivors of
+    the document's candidate spans."""
     emitted: set[str] = set()
-    last: list[SpanSketch] = []
+    last: list[tuple[int, SpanSketch]] = []  # (index in candidate spans, sketch)
     out = []
+    c = -1
     for p in paragraphs:
         if p["type"] != "text":
             out.append(p)
             continue
         text = p["text"]
+        short = len(text) <= NEAR_DUP_MAX_LEN
+        c += short
         if text in emitted:
             continue
-        if len(text) <= NEAR_DUP_MAX_LEN:
+        if short:
             span = SpanSketch(text)
             if any(
-                not rejected_by_bounds(span, prev, NEAR_DUP_THRESHOLD)
+                (
+                    (c, pc) in near
+                    if c - pc <= NEAR_DUP_WINDOW
+                    else not rejected_by_bounds(span, prev, NEAR_DUP_THRESHOLD)
+                )
                 and is_near_duplicate_cached(span, prev, NEAR_DUP_THRESHOLD)
-                for prev in last
+                for pc, prev in last
             ):
                 continue
-            last.append(span)
+            last.append((c, span))
             if len(last) > NEAR_DUP_WINDOW:
                 last.pop(0)
         emitted.add(text)
@@ -126,6 +161,22 @@ def assemble_text(
 ) -> tuple[str, list[dict]]:
     """Post-process + join (the process_paragraphs defaults,
     paragraphs_processing.py:255-312)."""
+    paras = filter_duplicate_spans(select_paragraphs(
+        paragraphs, skip_header=skip_header, skip_page_number=skip_page_number,
+        footnote_mode=footnote_mode,
+    ))
+    return _join(paras), paras
+
+
+def select_paragraphs(
+    paragraphs: list[dict],
+    *,
+    skip_header: bool = True,
+    skip_page_number: bool = True,
+    footnote_mode: str = "keep",
+) -> list[dict]:
+    """The post-processing of :func:`assemble_text` that runs before the
+    span filter: header, page-number and footnote handling."""
     paras = paragraphs
     if skip_header:
         paras = [p for p in paras if not p.get("is_header")]
@@ -138,9 +189,11 @@ def assemble_text(
         ]
     elif footnote_mode.startswith("insert"):
         paras = insert_footnotes(paras, mode=footnote_mode)
-    paras = filter_duplicate_spans(paras)
-    text = "\n\n".join(p["text"] for p in paras if p.get("text")).strip()
-    return text, paras
+    return paras
+
+
+def _join(paragraphs: list[dict]) -> str:
+    return "\n\n".join(p["text"] for p in paragraphs if p.get("text")).strip()
 
 
 def _strip_markers(text: str, footnotes) -> str:
@@ -174,7 +227,7 @@ def detect_paragraphs(url: str, payload: bytes) -> tuple[list[dict], str, str]:
     title = ""
     if kind == "pdf":
         paragraphs = pdf_extract.extract_pdf_paragraphs(
-            minipdf.read_text_objects(payload)
+            minipdf.read_pages(payload)
         )
     elif kind == "docx":
         paragraphs = doc_parsers.parse_docx(payload)
@@ -209,20 +262,67 @@ def extract_page(
     text assembly skipped."""
     try:
         if not payload:
-            return _row(url, "", "", 0, "empty", "error", "empty payload", lang,
-                        [] if include_paragraphs else None)
+            return _empty_row(url, lang, include_paragraphs)
         paragraphs, title, kind = detect_paragraphs(url, payload)
         text, kept = assemble_text(paragraphs, footnote_mode=footnote_mode)
-        structural = (
-            [_paragraph_struct(p) for p in paragraphs] if include_paragraphs else None
-        )
-        return _row(url, text, title, len(kept), kind, "ok", "", lang, structural)
+        return _ok_row(url, lang, paragraphs, title, kind, text, kept, include_paragraphs)
     except Exception as exc:  # malformed payload -> error row (never a crash)
-        return _row(
-            url, "", "", 0, "error", "error",
-            "{}: {}".format(type(exc).__name__, exc), lang,
-            [] if include_paragraphs else None,
-        )
+        return _error_row(url, lang, exc, include_paragraphs)
+
+
+def extract_rows(
+    urls: list[str],
+    payloads: list[bytes],
+    langs: list[str],
+    *,
+    footnote_mode: str = "keep",
+    include_paragraphs: bool = False,
+) -> list[dict]:
+    """:func:`extract_page` for each page, row for row, with the span
+    filter's bounds for all pages from one
+    :func:`~ocr_ray.functions.metrics.near_pairs` pass: its fixed per-call
+    NumPy cost is paid once per batch, not once per page.  Pairs never
+    cross pages, so each row is the one :func:`extract_page` returns."""
+    rows: list = []
+    todo = []
+    for url, payload, lang in zip(urls, payloads, langs):
+        try:
+            if not payload:
+                rows.append(_empty_row(url, lang, include_paragraphs))
+                continue
+            paragraphs, title, kind = detect_paragraphs(url, payload)
+            selected = select_paragraphs(paragraphs, footnote_mode=footnote_mode)
+        except Exception as exc:  # malformed payload -> error row (never a crash)
+            rows.append(_error_row(url, lang, exc, include_paragraphs))
+            continue
+        todo.append((len(rows), url, lang, paragraphs, title, kind, selected))
+        rows.append(None)
+    nears = near_pairs(
+        [_candidate_spans(t[-1]) for t in todo], NEAR_DUP_WINDOW, NEAR_DUP_THRESHOLD
+    )
+    for (at, url, lang, paragraphs, title, kind, selected), near in zip(todo, nears):
+        try:
+            kept = _filter_spans(selected, near)
+            rows[at] = _ok_row(url, lang, paragraphs, title, kind, _join(kept), kept,
+                               include_paragraphs)
+        except Exception as exc:
+            rows[at] = _error_row(url, lang, exc, include_paragraphs)
+    return rows
+
+
+def _ok_row(url, lang, paragraphs, title, kind, text, kept, include_paragraphs) -> dict:
+    structural = [_paragraph_struct(p) for p in paragraphs] if include_paragraphs else None
+    return _row(url, text, title, len(kept), kind, "ok", "", lang, structural)
+
+
+def _empty_row(url, lang, include_paragraphs) -> dict:
+    return _row(url, "", "", 0, "empty", "error", "empty payload", lang,
+                [] if include_paragraphs else None)
+
+
+def _error_row(url, lang, exc, include_paragraphs) -> dict:
+    return _row(url, "", "", 0, "error", "error", "{}: {}".format(type(exc).__name__, exc),
+                lang, [] if include_paragraphs else None)
 
 
 def _paragraph_struct(p: dict) -> dict:

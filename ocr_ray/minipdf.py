@@ -5,10 +5,16 @@ The container ships no pypdfium2, so the PDF branch of the extractor
 self-contained PDF dialect: valid ``%PDF-1.4`` files whose page content
 streams are uncompressed and use only ``BT/ET``, ``Tf``, ``Td`` and ``Tj``
 operators.  The writer is used by the synthetic-page generator; the reader
-recovers typed text objects ``(page, x, y, size, text)`` — the same shape
-pypdfium2 yields to the reference's ``group_blocks_in_lines``
+recovers each page's positioned text runs ``(x, y, size, text)`` — the
+shape pypdfium2 yields to the reference's ``group_blocks_in_lines``
 (pdf_parser.py:181-266) — which ``ocr_ray.pdf_extract`` then groups into
 lines and paragraphs.
+
+The reader is columnar: two ``bytes.find`` calls locate each content
+stream, one ``findall`` yields its runs, each operand column becomes
+floats in one ``map``, and only strings holding a backslash are
+unescaped.  A page is a :class:`PageText` of four parallel lists, not one
+object per run.
 
 Both directions are pure functions of their input bytes: no wall clock, no
 randomness, no filesystem.
@@ -17,21 +23,10 @@ randomness, no filesystem.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 PAGE_W = 612.0
 PAGE_H = 792.0
-
-
-@dataclass(frozen=True)
-class TextObj:
-    """One positioned text run, the PDF analog of a word box."""
-
-    page: int
-    x: float
-    y: float
-    size: float
-    text: str
 
 
 # ---------------------------------------------------------------------------
@@ -98,16 +93,27 @@ def build_pdf(pages: list[list[str]]) -> bytes:
 # Reader
 # ---------------------------------------------------------------------------
 
-_STREAM_RE = re.compile(rb"stream\r?\n(.*?)\r?\nendstream", re.DOTALL)
-# one whole text object; writer emits exactly one Tf+Td+Tj per BT..ET.
-# String content is escape-aware ((?:\\.|[^\\()])*): a lookbehind-based
-# close-paren match would mis-handle an escaped backslash before ')'.
+# one whole text object; the writer emits exactly one Tf+Td+Tj per BT..ET.
+# String content is escape-aware and written as an unrolled loop
+# ([^\\()]*(?:\\.[^\\()]*)*): the same strings as (?:\\.|[^\\()])*,
+# without one alternation per byte; a lookbehind-based close-paren match
+# would mis-handle an escaped backslash before ')'.
 _TEXTOBJ_RE = re.compile(
     rb"BT\s+/\w+\s+([\d.]+)\s+Tf\s+([-\d.]+)\s+([-\d.]+)\s+Td\s+"
-    rb"\(((?:\\.|[^\\()])*)\)\s*Tj\s+ET",
+    rb"\(([^\\()]*(?:\\.[^\\()]*)*)\)\s*Tj\s+ET",
     re.DOTALL,
 )
 _UNESC = {b"\\\\": b"\\", b"\\(": b"(", b"\\)": b")"}
+
+
+class PageText(NamedTuple):
+    """One content stream's text runs as columns, in stream order: run
+    ``i`` sits at ``(xs[i], ys[i])`` in font size ``sizes[i]``."""
+
+    xs: list[float]
+    ys: list[float]
+    sizes: list[float]
+    texts: list[str]
 
 
 def _unescape(raw: bytes) -> str:
@@ -122,8 +128,52 @@ def is_pdf(payload: bytes) -> bool:
     return payload[:5] == b"%PDF-"
 
 
-def read_text_objects(payload: bytes) -> list[TextObj]:
-    """Parse text objects from all page content streams, in page order.
+def _streams(payload: bytes):
+    """Each ``stream\\r?\\n ... \\r?\\nendstream`` body in file order, the
+    shortest body per ``stream`` keyword, as a lazy DOTALL regex scan
+    would find them, but with two ``bytes.find`` calls per stream."""
+    pos = 0
+    while True:
+        i = payload.find(b"stream", pos)
+        if i < 0:
+            return
+        body = i + 6
+        if payload.startswith(b"\r\n", body):
+            body += 2
+        elif payload.startswith(b"\n", body):
+            body += 1
+        else:
+            pos = i + 1
+            continue
+        end = payload.find(b"\nendstream", body)
+        if end < 0:
+            return
+        yield payload[body:end - 1 if end > body and payload[end - 1] == 13 else end]
+        pos = end + 10
+
+
+def _page_text(runs: list[tuple]) -> PageText:
+    """One stream's regex matches -> columns: each operand column is
+    converted in one pass, and only strings holding a backslash are
+    unescaped.  A malformed number raises the ``ValueError`` a run-by-run
+    ``float`` of x, y, then size would raise first."""
+    if not runs:
+        return PageText([], [], [], [])
+    sizes, xs, ys, raw = zip(*runs)
+    try:
+        cols = [list(map(float, col)) for col in (xs, ys, sizes)]
+    except ValueError:
+        for size, x, y, _text in runs:
+            float(x), float(y), float(size)
+        raise
+    texts = [_unescape(t) if b"\\" in t else t.decode("latin-1") for t in raw]
+    return PageText(*cols, texts)
+
+
+def read_pages(payload: bytes) -> list[PageText]:
+    """Parse the text runs of every page content stream, one
+    :class:`PageText` per stream in file order (the list index is the
+    page number).
 
     Raises ``ValueError`` on payloads that don't look like a well-formed
     mini-PDF (truncated files, garbage) — callers turn that into an
@@ -133,18 +183,6 @@ def read_text_objects(payload: bytes) -> list[TextObj]:
         raise ValueError("not a PDF payload")
     if b"%%EOF" not in payload:
         raise ValueError("truncated PDF (no %%EOF)")
-    objs: list[TextObj] = []
-    for page, m in enumerate(_STREAM_RE.finditer(payload)):
-        for t in _TEXTOBJ_RE.finditer(m.group(1)):
-            objs.append(
-                TextObj(
-                    page=page,
-                    x=float(t.group(2)),
-                    y=float(t.group(3)),
-                    size=float(t.group(1)),
-                    text=_unescape(t.group(4)),
-                )
-            )
-    if not objs and b"stream" not in payload:
+    if b"stream" not in payload:
         raise ValueError("PDF has no content streams")
-    return objs
+    return [_page_text(_TEXTOBJ_RE.findall(body)) for body in _streams(payload)]

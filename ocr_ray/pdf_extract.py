@@ -1,13 +1,14 @@
-"""PDF layout parse: text objects -> lines -> paragraphs with classification.
+"""PDF layout parse: text runs -> lines -> paragraphs with classification.
 
 Mirrors the reference PDF parser's grouping heuristics
 (/root/reference/utils/text/parsers/pdf_parser.py):
 
-- ``group_blocks_in_lines`` (pdf_parser.py:181-266): text objects sharing
-  ≥50% vertical overlap form a line; within a line objects sort by x; an
-  inter-word space is inserted when the x-gap exceeds ``0.35 ×`` the font
-  size; a run whose size is < 0.8× the line-median size and whose baseline
-  sits above the line baseline is a superscript — if numeric it becomes a
+- ``group_blocks_in_lines`` (pdf_parser.py:181-266): text runs sharing
+  ≥50% vertical overlap form a line; within a line runs sort by x and are
+  joined by one space (the writer emits one run per word, so the
+  reference's ``0.35 ×`` font-size gap rule never drops a space here); a
+  run whose size is < 0.8× the line-median size and whose baseline sits
+  above the line baseline is a superscript — if numeric it becomes a
   footnote reference marker ``^{n}``.
 - ``group_lines_in_paragraphs`` (pdf_parser.py:269-346): consecutive lines
   merge while the y-gap stays ≤ ``0.9 × leading`` and the dominant font size
@@ -19,15 +20,17 @@ Mirrors the reference PDF parser's grouping heuristics
   footnote 2 < page-number 3, stable-sorted per page — the determinism
   backbone for byte-identical output.
 
-Pure NumPy-free Python over small per-document lists (a document has at most
-thousands of text objects); runs inside the extractor actor's batch call.
+Works on the reader's per-page columns (:class:`~ocr_ray.minipdf.PageText`,
+four parallel lists): lines hold run indices, so no object is built per
+text run.  Plain Python over lists is the right tool at this size (a page
+has at most thousands of runs, most lines a handful); runs inside the
+extractor's batch call.
 """
 
 from __future__ import annotations
 
-from .minipdf import PAGE_H, TextObj
+from .minipdf import PAGE_H, PageText
 
-WORD_GAP_FACTOR = 0.35       # pdf_parser.py inter-word space threshold
 SUPERSCRIPT_SIZE = 0.8       # size ratio below which a raised run is superscript
 LINE_OVERLAP = 0.5           # min y-overlap ratio to share a line
 PARA_GAP_FACTOR = 0.9        # max y-gap in leadings inside a paragraph
@@ -38,72 +41,75 @@ FOOTNOTE_BAND = 0.33         # bottom third of the page
 ORDER_WEIGHTS = {"header": 0, "body": 1, "footnote": 2, "page_number": 3}
 
 
-def _approx_char_w(size: float) -> float:
-    return size * 0.5
-
-
-def group_objs_in_lines(objs: list[TextObj]) -> list[dict]:
-    """Group one page's text objects into lines (pdf_parser.py:181-266)."""
-    if not objs:
+def group_page_lines(page: PageText) -> list[dict]:
+    """Group one page's text runs into lines (pdf_parser.py:181-266)."""
+    xs, ys, sizes, texts = page
+    if not xs:
         return []
-    objs = sorted(objs, key=lambda o: (-o.y, o.x))
-    max_size = max(o.size for o in objs)
-    lines: list[list[TextObj]] = []
-    start = 0  # lines before this can never match any remaining obj:
-    # objs arrive in descending y, so once ref.y - o.y >= max_size the
-    # overlap with this and every later obj is <= 0 (keeps the scan O(N)
+    # stable sort by (-y, x): the run index breaks ties in input order
+    order = [i for _, _, i in sorted(zip([-y for y in ys], xs, range(len(xs))))]
+    max_size = max(sizes)
+    lines: list[list[int]] = []
+    ref_y: list[float] = []  # each line's first run: y and size
+    ref_size: list[float] = []
+    start = 0  # lines before this can never match any remaining run:
+    # runs arrive in descending y, so once ref_y - y >= max_size the
+    # overlap with this and every later run is <= 0 (keeps the scan O(N)
     # instead of O(N * n_lines) while matching the naive first-match order)
-    for o in objs:
-        while start < len(lines) and lines[start][0].y - o.y >= max_size:
+    last = None  # (y, size, line) of the run before, if a run like it joins that line
+    for i in order:
+        y, size = ys[i], sizes[i]
+        if last is not None and y == last[0] and size == last[1]:
+            # the scan would see the same start and stop at the same line
+            last[2].append(i)
+            continue
+        while start < len(lines) and ref_y[start] - y >= max_size:
             start += 1
-        placed = False
         for li in range(start, len(lines)):
-            ref = lines[li][0]
-            h = max(ref.size, o.size)
-            overlap = min(ref.y + ref.size, o.y + o.size) - max(ref.y, o.y)
+            ry, rs = ref_y[li], ref_size[li]
+            h = max(rs, size)
+            overlap = min(ry + rs, y + size) - max(ry, y)
             if overlap / h >= LINE_OVERLAP:
-                lines[li].append(o)
-                placed = True
+                lines[li].append(i)
+                last = (y, size, lines[li])
                 break
-        if not placed:
-            lines.append([o])
+        else:
+            lines.append([i])
+            ref_y.append(y)
+            ref_size.append(size)
+            # a second run like this one joins the new line only if the
+            # overlap test passes against the line's own first run
+            ok = size and (y + size - y) / size >= LINE_OVERLAP
+            last = (y, size, lines[-1]) if ok else None
 
     out = []
     for line in lines:
-        line.sort(key=lambda o: o.x)
-        sizes = sorted(o.size for o in line)
-        median = sizes[len(sizes) // 2]
-        baseline = min(o.y for o in line if o.size >= SUPERSCRIPT_SIZE * median) \
-            if any(o.size >= SUPERSCRIPT_SIZE * median for o in line) else min(o.y for o in line)
+        line.sort(key=xs.__getitem__)
+        line_sizes = sorted([sizes[i] for i in line])
+        median = line_sizes[len(line_sizes) // 2]
+        # sizes are >= 0, so the median run always counts toward the baseline
+        baseline = min([ys[i] for i in line if sizes[i] >= SUPERSCRIPT_SIZE * median])
         parts: list[str] = []
         footnote_refs: list[int] = []
-        x_end = None
-        for o in line:
-            is_super = (
-                o.size < SUPERSCRIPT_SIZE * median
-                and o.y > baseline + 0.15 * median
-            )
-            token = o.text
-            if is_super and token.strip().isdigit():
+        for i in line:
+            token = texts[i]
+            if (
+                sizes[i] < SUPERSCRIPT_SIZE * median
+                and ys[i] > baseline + 0.15 * median
+                and token.strip().isdigit()
+            ):
                 idx = int(token.strip())
                 footnote_refs.append(idx)
-                token = "^{}".format(idx)
-                parts.append(token)  # attach without preceding space
-                x_end = o.x + len(o.text) * _approx_char_w(o.size)
+                parts.append("^{}".format(idx))  # attach without preceding space
                 continue
-            if x_end is not None and o.x - x_end > WORD_GAP_FACTOR * o.size:
-                parts.append(" ")
-            elif x_end is not None:
-                parts.append(" ")  # writer emits one object per word
+            if parts:
+                parts.append(" ")  # the writer emits one run per word
             parts.append(token)
-            x_end = o.x + len(o.text) * _approx_char_w(o.size)
-        text = "".join(parts).replace(" ^", "^")
         out.append(
             {
-                "text": text,
+                "text": "".join(parts).replace(" ^", "^"),
                 "y": baseline,
-                "top": max(o.y + o.size for o in line),
-                "x": line[0].x,
+                "x": xs[line[0]],
                 "size": median,
                 "footnotes": footnote_refs,
             }
@@ -165,9 +171,9 @@ def classify_paragraph(para: dict, body_size: float) -> str:
     return "body"
 
 
-def extract_pdf_page_objs(objs: list[TextObj]) -> list[dict]:
-    """One page of text objects -> classified, order-weighted paragraphs."""
-    lines = group_objs_in_lines(objs)
+def extract_pdf_page(page: PageText) -> list[dict]:
+    """One page's text runs -> classified, order-weighted paragraphs."""
+    lines = group_page_lines(page)
     paras = group_lines_in_paragraphs(lines)
     if not paras:
         return []
@@ -205,14 +211,11 @@ def extract_pdf_page_objs(objs: list[TextObj]) -> list[dict]:
     return out
 
 
-def extract_pdf_paragraphs(objs: list[TextObj]) -> list[dict]:
+def extract_pdf_paragraphs(pages: list[PageText]) -> list[dict]:
     """All pages -> paragraph records with per-document order."""
-    by_page: dict[int, list[TextObj]] = {}
-    for o in objs:
-        by_page.setdefault(o.page, []).append(o)
     paragraphs: list[dict] = []
-    for page in sorted(by_page):
-        for p in extract_pdf_page_objs(by_page[page]):
+    for page, runs in enumerate(pages):
+        for p in extract_pdf_page(runs):
             p["page"] = page
             p["order"] = len(paragraphs)
             paragraphs.append(p)

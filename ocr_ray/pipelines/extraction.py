@@ -53,12 +53,15 @@ PAGE_COLUMNS = ["url", "html", "lang"]
 
 
 def default_concurrency() -> int:
-    """Fixed actor-pool size: total CPUs minus ~12% headroom.
+    """Fixed actor-pool size: total CPUs minus ~12% headroom, at least 2
+    and at most the cluster's CPU count.
 
     A pool that reserves every CPU starves the read/write task stages and
     the pipeline serializes (measured: concurrency == num_cpus is ~10x
     slower end-to-end than num_cpus - 4 on a 32-CPU node).  A fixed pool
-    also avoids autoscaling spin-up lag on short jobs.
+    also avoids autoscaling spin-up lag on short jobs.  On a 1-CPU
+    cluster a pool of 2 is more actors than Ray can place, so the pool is
+    1 there.
     """
     try:
         import ray
@@ -66,7 +69,7 @@ def default_concurrency() -> int:
         n = int(ray.cluster_resources().get("CPU", 4))
     except Exception:
         n = 4
-    return max(2, n - max(1, n // 8))
+    return max(1, min(n, max(2, n - max(1, n // 8))))
 
 
 def extract_pages(

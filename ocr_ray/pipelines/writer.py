@@ -97,7 +97,9 @@ FORMATS = {
 
 
 def _sort_block(batch: pa.Table, key: str, n_partitions: int, digest=None):
-    """Hash ``key`` once (``key_hash``; the partition id is the hash mod
+    """The stat partial of a block of many partitions (:func:`block_stats`;
+    :func:`write_partition` holds one partition and needs no sort).  Hash
+    ``key`` once (``key_hash``; the partition id is the hash mod
     ``n_partitions``), sort ``batch`` by partition id and fold (n_rows, key
     hash sum, sum of the hex ``digest`` column's 64-bit prefixes) per
     partition; uint64 ``np.add.reduceat`` wraps mod 2^64.  Returns the
@@ -143,17 +145,26 @@ def write_partition(
     given.  A retried task rewrites the same path, so a retry leaves no
     second copy.  Raises if ``rows`` span more than one partition."""
     ext, write_fn, _ = FORMATS[format]
-    _, starts, partial = _sort_block(rows, key, n_partitions, digest)
-    if len(starts) > 1:
+    hashes = key_hash(rows, [key])
+    if not len(hashes):
+        return STATS_SCHEMA.empty_table()
+    pids = hashes % np.uint64(n_partitions)
+    if pids.min() != pids.max():
         raise ValueError(
             "one write call got partitions {}; a bucket must hold exactly "
-            "one partition".format(partial.column("partition_id").to_pylist())
+            "one partition".format(np.unique(pids).tolist())
         )
-    if rows.num_rows:
-        pid = partial.column("partition_id")[0].as_py()
-        pdir = os.path.join(output_dir, "partition_id={}".format(pid))
-        os.makedirs(pdir, exist_ok=True)
-        write_fn(rows, os.path.join(pdir, "part-0" + ext))
+    # one partition, so no sort: plain sums, each wrapping mod 2^64
+    partial = pa.table(
+        [
+            [int(pids[0])], [len(hashes)], [hashes.sum(dtype=np.uint64)],
+            [mf.digest_prefixes(rows.column(digest)).sum(dtype=np.uint64) if digest else 0],
+        ],
+        schema=STATS_SCHEMA,
+    )
+    pdir = os.path.join(output_dir, "partition_id={}".format(int(pids[0])))
+    os.makedirs(pdir, exist_ok=True)
+    write_fn(rows, os.path.join(pdir, "part-0" + ext))
     return partial
 
 

@@ -26,7 +26,7 @@ import os
 
 import pyarrow as pa
 
-from ..extract_core import assemble_text, detect_paragraphs, extract_page, sha256_hex
+from ..extract_core import assemble_text, detect_paragraphs, extract_rows, sha256_hex
 from ..schema import EXTRACTED, EXTRACTED_FULL
 
 
@@ -37,7 +37,10 @@ def extract_batch(
 
     The per-row Python work (an HTML/PDF parse) IS the useful compute —
     the analog of model inference — so a Python loop over rows here is the
-    kernel, not overhead; everything around it stays columnar.
+    kernel, not overhead; everything around it stays columnar.  The rows
+    come from :func:`~ocr_ray.extract_core.extract_rows`: each is the row
+    ``extract_page`` gives, with the span filter's bounds for the whole
+    batch computed in one vectorized pass.
 
     This extractor's only state (compiled regexes) is module-level, paid at
     import in each worker, so stateless tasks beat an actor pool: tasks
@@ -53,13 +56,10 @@ def extract_batch(
         if "lang" in batch.column_names
         else [""] * len(urls)
     )
-    rows = [
-        extract_page(
-            u, p, lang=l, footnote_mode=footnote_mode,
-            include_paragraphs=include_paragraphs,
-        )
-        for u, p, l in zip(urls, payloads, langs)
-    ]
+    rows = extract_rows(
+        urls, payloads, langs, footnote_mode=footnote_mode,
+        include_paragraphs=include_paragraphs,
+    )
     return pa.Table.from_pylist(
         rows, schema=EXTRACTED_FULL if include_paragraphs else EXTRACTED
     )

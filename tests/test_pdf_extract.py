@@ -2,7 +2,12 @@
 
 from ocr_ray import minipdf, pdf_extract
 from ocr_ray.extract_core import extract_page
-from ocr_ray.minipdf import TextObj, text_op
+from ocr_ray.minipdf import PageText, text_op
+
+
+def _page(*runs):
+    """(x, y, size, text) runs -> one page's columns."""
+    return PageText(*map(list, zip(*runs)))
 
 
 def test_pdf_roundtrip():
@@ -13,32 +18,28 @@ def test_pdf_roundtrip():
         ]
     )
     assert minipdf.is_pdf(pdf)
-    objs = minipdf.read_text_objects(pdf)
-    assert [(o.page, o.text) for o in objs] == [
-        (0, "hello world"),
-        (0, "line (two)"),
-        (1, "back\\slash"),
-    ]
-    assert objs[0].x == 72 and objs[0].y == 720 and objs[0].size == 12
+    pages = minipdf.read_pages(pdf)
+    assert [p.texts for p in pages] == [["hello world", "line (two)"], ["back\\slash"]]
+    assert pages[0].xs[0] == 72 and pages[0].ys[0] == 720 and pages[0].sizes[0] == 12
 
 
 def test_line_grouping_and_word_spacing():
-    objs = [
-        TextObj(0, 72, 700, 12, "alpha"),
-        TextObj(0, 120, 700, 12, "beta"),
-        TextObj(0, 72, 670, 12, "gamma"),  # next line: gap > leading overlap
-    ]
-    lines = pdf_extract.group_objs_in_lines(objs)
+    page = _page(
+        (72, 700, 12, "alpha"),
+        (120, 700, 12, "beta"),
+        (72, 670, 12, "gamma"),  # next line: gap > leading overlap
+    )
+    lines = pdf_extract.group_page_lines(page)
     assert [l["text"] for l in lines] == ["alpha beta", "gamma"]
 
 
 def test_superscript_footnote_ref():
-    objs = [
-        TextObj(0, 72, 700, 12, "claim"),
-        TextObj(0, 110, 703, 8, "2"),  # raised + small => superscript ref
-        TextObj(0, 120, 700, 12, "more"),
-    ]
-    lines = pdf_extract.group_objs_in_lines(objs)
+    page = _page(
+        (72, 700, 12, "claim"),
+        (110, 703, 8, "2"),  # raised + small => superscript ref
+        (120, 700, 12, "more"),
+    )
+    lines = pdf_extract.group_page_lines(page)
     assert len(lines) == 1
     assert lines[0]["text"] == "claim^2 more"
     assert lines[0]["footnotes"] == [2]
@@ -57,13 +58,13 @@ def test_paragraph_split_on_gap_and_font():
 
 
 def test_classification_and_order_weights():
-    objs = [
-        TextObj(0, 200, 760, 9, "Running Header"),
-        TextObj(0, 72, 700, 12, "body text first"),
-        TextObj(0, 72, 100, 8, "^1 a footnote"),
-        TextObj(0, 300, 40, 9, "3"),
-    ]
-    paras = pdf_extract.extract_pdf_page_objs(objs)
+    page = _page(
+        (200, 760, 9, "Running Header"),
+        (72, 700, 12, "body text first"),
+        (72, 100, 8, "^1 a footnote"),
+        (300, 40, 9, "3"),
+    )
+    paras = pdf_extract.extract_pdf_page(page)
     kinds = [
         ("header" if p["is_header"] else
          "page_number" if p["is_page_number"] else
@@ -132,9 +133,9 @@ def test_minipdf_roundtrip_property():
     @given(texts)
     def check(lines):
         ops = [text_op(72, 720 - 14 * i, 12, t) for i, t in enumerate(lines)]
-        objs = minipdf.read_text_objects(minipdf.build_pdf([ops]))
-        assert [o.text for o in objs] == lines
-        assert all(o.page == 0 and o.size == 12 for o in objs)
+        (page,) = minipdf.read_pages(minipdf.build_pdf([ops]))
+        assert page.texts == lines
+        assert page.sizes == [12.0] * len(lines)
 
     check()
 

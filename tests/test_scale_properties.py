@@ -76,6 +76,17 @@ def test_exploded_run_and_resume(ray_session, tmp_path_factory):
     assert stats == {"extracted": 0, "skipped_partitions": 4}
 
 
+@pytest.mark.parametrize("cpus, want", [(1, 1), (2, 2), (3, 2), (8, 7), (32, 28)])
+def test_default_concurrency_fits_the_cluster(monkeypatch, cpus, want):
+    """The exploded mode's actor pool never asks for more actors than the
+    cluster has CPUs: on one CPU, a pool of 2 is more than Ray can place
+    (it warns that the operator's minimum is more than it can use)."""
+    import ray
+
+    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
+    assert ex.default_concurrency() == want
+
+
 def test_max_blocks_cap():
     """Pathological pages are capped (the NMS-tiling analog,
     non_max_suppression.py:105-115): a page with 100k nodes must not

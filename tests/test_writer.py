@@ -417,3 +417,37 @@ def test_output_of_another_partition_hash_is_rewritten(ray_session, tmp_path, mo
     urls = writer.read_partitioned(out).column("url").to_pylist()
     assert sorted(urls) == sorted(pages.column("url").to_pylist())
     assert len(set(urls)) == 40
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.text(max_size=12),
+            st.one_of(st.just(""), st.just("f" * 64), st.text("0123456789abcdef", min_size=64, max_size=64)),
+        ),
+        max_size=40,
+    ),
+    st.integers(1, 9),
+)
+def test_write_partition_partial_equals_sort_block(tmp_path_factory, rows, n_partitions):
+    """write_partition folds its one partition with plain wrapping sums (no
+    sort); the partial equals what _sort_block's sort-and-reduceat gives
+    for the same rows, on each one-partition group of a random block."""
+    out = str(tmp_path_factory.mktemp("parts"))
+    batch = pa.table({
+        "url": pa.array([u for u, _ in rows], pa.string()),
+        "digest": pa.array([d for _, d in rows], pa.string()),
+    })
+    pids = [ref.partition_id(u, n_partitions) for u, _ in rows]
+    for pid in sorted(set(pids)):
+        group = batch.filter(pa.array([p == pid for p in pids]))
+        got = writer.write_partition(group, output_dir=out, key="url",
+                                     n_partitions=n_partitions, digest="digest")
+        assert got.equals(writer._sort_block(group, "url", n_partitions, "digest")[2])
+        no_digest = writer.write_partition(group, output_dir=out, key="url",
+                                           n_partitions=n_partitions)
+        assert no_digest.equals(writer._sort_block(group, "url", n_partitions)[2])
+    empty = writer.write_partition(batch.slice(0, 0), output_dir=out, key="url",
+                                   n_partitions=n_partitions, digest="digest")
+    assert empty.equals(writer._sort_block(batch.slice(0, 0), "url", n_partitions, "digest")[2])
