@@ -1,9 +1,11 @@
 """Per-page extraction core: payload dispatch -> paragraphs -> final text.
 
 This is the single source of truth for WHAT gets extracted; both the
-single-process oracle (:mod:`ocr_ray.reference`) and the Ray actor stage
-(:mod:`ocr_ray.stages.extract`) call :func:`extract_page`, which is how the
-engine guarantees byte-identical output regardless of parallelism.
+single-process oracle (:mod:`ocr_ray.reference`) and the Ray stages
+(:mod:`ocr_ray.stages.extract`) build their rows here — :func:`extract_page`
+for one page, :func:`detect_page` then :func:`page_rows` for a batch —
+which is how the engine guarantees byte-identical output regardless of
+parallelism or mode.
 
 Flow per page (mirrors /root/reference pipeline lifecycle, SURVEY §3):
 
@@ -15,14 +17,17 @@ Flow per page (mirrors /root/reference pipeline lifecycle, SURVEY §3):
    filtering (base_ocr.py:679-725)
 5. assemble — paragraphs joined with '\\n\\n' (parser.py:31-37)
 
-Error policy: malformed payloads yield ``status='error'`` rows, never an
-exception that poisons a whole batch (the reference logs-and-drops,
-utils/threading/stream.py:338-345).
+Error policy: an empty or malformed payload, or one whose post-processing
+raises, yields a ``status='error'`` row (kind ``empty`` or ``error``,
+``error`` = ``"Type: msg"``), never an exception that poisons a whole batch
+(the reference logs-and-drops, utils/threading/stream.py:338-345).  Only
+this module builds EXTRACTED rows, so the policy lives in one place.
 """
 
 from __future__ import annotations
 
 import hashlib
+from typing import NamedTuple
 
 from . import doc_parsers, html_extract, minipdf, pdf_extract
 from .functions.metrics import (
@@ -125,7 +130,7 @@ def insert_footnotes(paragraphs: list[dict], mode: str = "insert") -> list[dict]
     for p in paragraphs:
         if p.get("is_footnote"):
             continue
-        text = p["text"]
+        text = p.get("text", "")
         for idx in p.get("footnotes", ()):
             note = notes.get((p.get("page", 0), idx))
             if note is None:
@@ -146,7 +151,7 @@ def insert_footnotes(paragraphs: list[dict], mode: str = "insert") -> list[dict]
                 text = " ".join(sentences)
             elif mode == "insert_last_sentence":
                 text = text.replace(marker, "") + formatted
-        if text != p["text"]:
+        if text != p.get("text", ""):
             p = dict(p, text=text)
         out.append(p)
     return out
@@ -185,7 +190,8 @@ def select_paragraphs(
     if footnote_mode == "skip":
         paras = [p for p in paras if not p.get("is_footnote")]
         paras = [
-            dict(p, text=_strip_markers(p["text"], p.get("footnotes", ()))) for p in paras
+            dict(p, text=_strip_markers(p.get("text", ""), p.get("footnotes", ())))
+            for p in paras
         ]
     elif footnote_mode.startswith("insert"):
         paras = insert_footnotes(paras, mode=footnote_mode)
@@ -219,10 +225,11 @@ def payload_kind(url: str, payload: bytes) -> str:
 def detect_paragraphs(url: str, payload: bytes) -> tuple[list[dict], str, str]:
     """Stage-1 detect: payload -> (paragraphs, title, kind).
 
-    The single dispatch shared by the fused path (:func:`extract_page`) and
-    the exploded path (stages.extract.BlockExtractor), so both stay
-    byte-identical by construction.  Raises on malformed payloads — callers
-    turn that into an error row."""
+    The single dispatch behind :func:`detect_page`, which the fused path
+    (:func:`extract_page`, ``stages.extract.extract_batch``) and the
+    exploded path (``stages.extract.extract_blocks``) both call, so both stay
+    byte-identical by construction.  Raises on malformed payloads —
+    :func:`detect_page` turns that into a failed page."""
     kind = payload_kind(url, payload)
     title = ""
     if kind == "pdf":
@@ -246,6 +253,32 @@ def detect_paragraphs(url: str, payload: bytes) -> tuple[list[dict], str, str]:
     return paragraphs, title, kind
 
 
+class Detected(NamedTuple):
+    """A page after stage 1: its paragraphs, title and kind, or for a
+    failed page no paragraphs, kind ``empty`` or ``error`` and the error
+    message (``""`` when the page did not fail)."""
+
+    paragraphs: list
+    title: str
+    kind: str
+    error: str = ""
+
+
+def detect_page(url: str, payload: bytes) -> Detected:
+    """Stage 1 under the row policy; never raises.  An empty payload and
+    one :func:`detect_paragraphs` raises on become failed pages."""
+    if not payload:
+        return Detected([], "", "empty", "empty payload")
+    try:
+        return Detected(*detect_paragraphs(url, payload))
+    except Exception as exc:  # malformed payload -> error row (never a crash)
+        return _failed(exc)
+
+
+def _failed(exc: Exception) -> Detected:
+    return Detected([], "", "error", "{}: {}".format(type(exc).__name__, exc))
+
+
 def extract_page(
     url: str,
     payload: bytes,
@@ -260,69 +293,66 @@ def extract_page(
     (FIXTURES.md §3): the full classified paragraph list — headers/page
     numbers INCLUDED with their flags, so structure tests can see what the
     text assembly skipped."""
-    try:
-        if not payload:
-            return _empty_row(url, lang, include_paragraphs)
-        paragraphs, title, kind = detect_paragraphs(url, payload)
-        text, kept = assemble_text(paragraphs, footnote_mode=footnote_mode)
-        return _ok_row(url, lang, paragraphs, title, kind, text, kept, include_paragraphs)
-    except Exception as exc:  # malformed payload -> error row (never a crash)
-        return _error_row(url, lang, exc, include_paragraphs)
+    page = detect_page(url, payload)
+    if not page.error:
+        try:
+            text, kept = assemble_text(page.paragraphs, footnote_mode=footnote_mode)
+            return _ok_row(url, lang, page, text, kept, include_paragraphs)
+        except Exception as exc:
+            page = _failed(exc)
+    return _failed_row(url, lang, page, include_paragraphs)
 
 
-def extract_rows(
+def page_rows(
     urls: list[str],
-    payloads: list[bytes],
     langs: list[str],
+    pages: list[Detected],
     *,
     footnote_mode: str = "keep",
     include_paragraphs: bool = False,
 ) -> list[dict]:
-    """:func:`extract_page` for each page, row for row, with the span
-    filter's bounds for all pages from one
+    """Stage 2 for a batch of detected pages: the EXTRACTED row of each,
+    row for row, as :func:`extract_page` builds it.  The span filter's
+    bounds for all pages come from one
     :func:`~ocr_ray.functions.metrics.near_pairs` pass: its fixed per-call
     NumPy cost is paid once per batch, not once per page.  Pairs never
-    cross pages, so each row is the one :func:`extract_page` returns."""
-    rows: list = []
+    cross pages, so a row does not depend on the batch around it."""
+    pages = list(pages)
     todo = []
-    for url, payload, lang in zip(urls, payloads, langs):
-        try:
-            if not payload:
-                rows.append(_empty_row(url, lang, include_paragraphs))
-                continue
-            paragraphs, title, kind = detect_paragraphs(url, payload)
-            selected = select_paragraphs(paragraphs, footnote_mode=footnote_mode)
-        except Exception as exc:  # malformed payload -> error row (never a crash)
-            rows.append(_error_row(url, lang, exc, include_paragraphs))
-            continue
-        todo.append((len(rows), url, lang, paragraphs, title, kind, selected))
-        rows.append(None)
+    for i, page in enumerate(pages):
+        if not page.error:
+            try:
+                todo.append((i, select_paragraphs(page.paragraphs, footnote_mode=footnote_mode)))
+            except Exception as exc:
+                pages[i] = _failed(exc)
+    rows: list = [None] * len(pages)
     nears = near_pairs(
-        [_candidate_spans(t[-1]) for t in todo], NEAR_DUP_WINDOW, NEAR_DUP_THRESHOLD
+        [_candidate_spans(selected) for _, selected in todo],
+        NEAR_DUP_WINDOW, NEAR_DUP_THRESHOLD,
     )
-    for (at, url, lang, paragraphs, title, kind, selected), near in zip(todo, nears):
+    for (i, selected), near in zip(todo, nears):
         try:
             kept = _filter_spans(selected, near)
-            rows[at] = _ok_row(url, lang, paragraphs, title, kind, _join(kept), kept,
-                               include_paragraphs)
+            rows[i] = _ok_row(urls[i], langs[i], pages[i], _join(kept), kept,
+                              include_paragraphs)
         except Exception as exc:
-            rows[at] = _error_row(url, lang, exc, include_paragraphs)
-    return rows
+            pages[i] = _failed(exc)
+    return [
+        row if row is not None else _failed_row(url, lang, page, include_paragraphs)
+        for row, url, lang, page in zip(rows, urls, langs, pages)
+    ]
 
 
-def _ok_row(url, lang, paragraphs, title, kind, text, kept, include_paragraphs) -> dict:
-    structural = [_paragraph_struct(p) for p in paragraphs] if include_paragraphs else None
-    return _row(url, text, title, len(kept), kind, "ok", "", lang, structural)
+def _ok_row(url, lang, page: Detected, text, kept, include_paragraphs) -> dict:
+    structural = (
+        [_paragraph_struct(p) for p in page.paragraphs] if include_paragraphs else None
+    )
+    return _row(url, text, page.title, len(kept), page.kind, "ok", "", lang, structural)
 
 
-def _empty_row(url, lang, include_paragraphs) -> dict:
-    return _row(url, "", "", 0, "empty", "error", "empty payload", lang,
+def _failed_row(url, lang, page: Detected, include_paragraphs) -> dict:
+    return _row(url, "", "", 0, page.kind, "error", page.error, lang,
                 [] if include_paragraphs else None)
-
-
-def _error_row(url, lang, exc, include_paragraphs) -> dict:
-    return _row(url, "", "", 0, "error", "error", "{}: {}".format(type(exc).__name__, exc),
-                lang, [] if include_paragraphs else None)
 
 
 def _paragraph_struct(p: dict) -> dict:

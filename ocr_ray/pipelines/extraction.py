@@ -45,31 +45,11 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..sources.io import read_pages
-from ..stages.extract import BlockExtractor, assemble_bucket, extract_batch
+from ..stages.extract import assemble_bucket, extract_batch, extract_blocks
 from ..stages.groupagg import bucketed_map_groups
 from . import writer as wr
 
 PAGE_COLUMNS = ["url", "html", "lang"]
-
-
-def default_concurrency() -> int:
-    """Fixed actor-pool size: total CPUs minus ~12% headroom, at least 2
-    and at most the cluster's CPU count.
-
-    A pool that reserves every CPU starves the read/write task stages and
-    the pipeline serializes (measured: concurrency == num_cpus is ~10x
-    slower end-to-end than num_cpus - 4 on a 32-CPU node).  A fixed pool
-    also avoids autoscaling spin-up lag on short jobs.  On a 1-CPU
-    cluster a pool of 2 is more actors than Ray can place, so the pool is
-    1 there.
-    """
-    try:
-        import ray
-
-        n = int(ray.cluster_resources().get("CPU", 4))
-    except Exception:
-        n = 4
-    return max(1, min(n, max(2, n - max(1, n // 8))))
 
 
 def extract_pages(
@@ -78,14 +58,13 @@ def extract_pages(
     mode: str = "fused",
     footnote_mode: str = "keep",
     batch_size: int = 64,
-    concurrency=None,
 ) -> ray.data.Dataset:
-    """pages Dataset -> EXTRACTED Dataset (no sink).
+    """pages Dataset -> EXTRACTED Dataset (no sink), on stateless tasks.
 
-    ``mode='fused'``: one row in, one row out, zero shuffles, on stateless
-    tasks (``concurrency`` is unused there).
-    ``mode='exploded'``: block rows (a ``BlockExtractor`` actor pool of
-    ``concurrency`` actors) + groupby(url) reassembly — the north rule's
+    ``mode='fused'``: one row in, one row out, zero shuffles
+    (``extract_batch``).
+    ``mode='exploded'``: block rows (``extract_blocks``) + the url-bucket
+    reassembly (``assemble_bucket``) — the north rule's
     document-reassembly shuffle, byte-identical to fused.
     """
     if mode == "fused":
@@ -95,14 +74,9 @@ def extract_pages(
             batch_format="pyarrow",
             batch_size=batch_size,
         )
-    if concurrency is None:
-        concurrency = default_concurrency()
     if mode == "exploded":
         blocks = ds.map_batches(
-            BlockExtractor,
-            batch_format="pyarrow",
-            batch_size=batch_size,
-            concurrency=concurrency,
+            extract_blocks, batch_format="pyarrow", batch_size=batch_size
         )
         # bucket the reassembly shuffle by url-hash: one map_groups call per
         # bucket instead of per url (per-group Python overhead dominates the
@@ -123,7 +97,6 @@ def run_extraction(
     mode: str = "fused",
     footnote_mode: str = "keep",
     batch_size: int = 64,
-    concurrency=None,
     resume: bool = True,
 ) -> dict:
     """Resumable end-to-end run: pages -> partitioned Parquet + manifests,
@@ -144,7 +117,6 @@ def run_extraction(
             mode=mode,
             footnote_mode=footnote_mode,
             batch_size=batch_size,
-            concurrency=concurrency,
         ),
         resume=resume,
     )

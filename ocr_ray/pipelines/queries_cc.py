@@ -22,7 +22,12 @@ import ray.data
 from ray.data.aggregate import Min, Sum
 
 from ..sources.io import cpu_count, read_table, table_shuffle_blocks
-from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups, group_topk
+from ..stages.groupagg import (
+    bucketed_group_agg,
+    bucketed_map_groups,
+    group_topk,
+    value_histogram,
+)
 from ..stages.joins import auto_join
 
 # paragraph contract shared with the SQL oracle: non-overlapping 10-word
@@ -1161,22 +1166,11 @@ def q_doc_len_rank(sf_dir: str):
     values + cumulative counts broadcast via ray.put (bounded by #langs x
     #distinct lengths, corpus-size-independent), then a map-side
     searchsorted per batch.  The corpus itself never shuffles."""
-    hist_src = read_table(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().groupby(["lang", "n_chars"]).size().rename("cnt")
-        return pa.Table.from_pandas(df.reset_index(), preserve_index=False)
-
-    hist = (
-        hist_src.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # distinct (lang, length) pairs only
+    hist = value_histogram(
+        read_table(sf_dir, "documents", columns=["lang", "n_chars"]), "lang", "n_chars"
     )
     tables = {}
-    for lang, g in hist.sort_values(["lang", "n_chars"]).groupby("lang", sort=False):
-        vals = g["n_chars"].to_numpy(np.int64)
-        cnts = g["cnt"].to_numpy(np.int64)
+    for lang, (vals, cnts) in hist.items():
         cum = np.concatenate([[0], np.cumsum(cnts)])  # cum[i] = # < vals[i]
         tables[lang] = (vals, cum[:-1], int(cum[-1]))
     tables_ref = ray.put(tables)
@@ -1227,22 +1221,12 @@ def q_len_quantiles(sf_dir: str):
     corpus row count, so the driver never sees data-proportional state.
     The quantile contract (shared with the oracle): the smallest value
     whose cumulative count reaches ceil(q * total)."""
-    ds = read_table(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().groupby(["lang", "n_chars"]).size().rename("cnt")
-        return pa.Table.from_pandas(df.reset_index(), preserve_index=False)
-
-    hist = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()  # small by construction: distinct (lang, length) pairs
+    hist = value_histogram(
+        read_table(sf_dir, "documents", columns=["lang", "n_chars"]), "lang", "n_chars"
     )
     rows = []
-    for lang, g in hist.sort_values(["lang", "n_chars"]).groupby("lang", sort=True):
-        cum = g["cnt"].cumsum().to_numpy()
-        vals = g["n_chars"].to_numpy()
+    for lang, (vals, cnts) in hist.items():
+        cum = np.cumsum(cnts)
         total = int(cum[-1])
         for q in QUANTILES:
             need = int(np.ceil(q * total))
@@ -1875,21 +1859,9 @@ def q_doc_outliers(sf_dir: str):
     ceil(q * total); the band is inclusive, outliers are strict < lo
     or > hi."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().groupby(["lang", "n_chars"]).size().rename("cnt")
-        return pa.Table.from_pandas(df.reset_index(), preserve_index=False)
-
-    hist = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
-    )
     bands = {}
-    for lang, g in hist.sort_values(["lang", "n_chars"]).groupby("lang", sort=True):
-        cum = g["cnt"].cumsum().to_numpy()
-        vals = g["n_chars"].to_numpy()
+    for lang, (vals, cnts) in value_histogram(ds, "lang", "n_chars").items():
+        cum = np.cumsum(cnts)
         total = int(cum[-1])
         lo = int(vals[np.searchsorted(cum, int(np.ceil(OUTLIER_LO * total)))])
         hi = int(vals[np.searchsorted(cum, int(np.ceil(OUTLIER_HI * total)))])

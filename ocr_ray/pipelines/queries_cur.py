@@ -463,8 +463,8 @@ SQL_EVENTS_SLIDING_WINDOW = (
 
 def q_extract_exploded(sf_dir: str):
     """The north-rule reassembly path through the driver: wrapped document
-    pages -> BlockExtractor (one row per paragraph block) ->
-    groupby(url-bucket) -> assemble.  Oracle-checked since r3: the
+    pages -> extract_blocks (one row per paragraph block, stateless
+    tasks) -> groupby(url-bucket) -> assemble_bucket.  Oracle-checked since r3: the
     chrome-wrapped single-paragraph pages must reassemble to exactly the
     source text, so the oracle is the same identity SQL as
     extract_identity (VERDICT r2 #8).  Archetype breadth stays covered by

@@ -1167,35 +1167,13 @@ def q_doc_winsorize(sf_dir: str):
     shuffle + a driver-side cumsum walk over <= |langs| x |distinct
     lengths| rows; the bounds then broadcast into a map-side clip —
     the row stream is touched exactly twice, never sorted."""
+    from ..stages.groupagg import value_histogram
+
     docs = read_table(sf_dir, "documents", columns=["doc_id", "lang", "n_chars"])
-
-    def hist_partial(batch: pa.Table) -> pa.Table:
-        enc = pc.dictionary_encode(batch.column("lang").combine_chunks())
-        g = np.asarray(enc.indices, dtype=np.int64)
-        v = batch.column("n_chars").to_numpy(zero_copy_only=False)
-        # packed (lang-code, value) key: lengths stay far under 2^40
-        key = g * (1 << 40) + v
-        uk, n = np.unique(key, return_counts=True)
-        return pa.table(
-            {
-                "lang": enc.dictionary.take(pa.array(uk >> 40, pa.int32())),
-                "v": pa.array((uk & ((1 << 40) - 1)).astype(np.int64)),
-                "n": pa.array(n.astype(np.int64)),
-            }
-        )
-
-    hist = (
-        docs.map_batches(hist_partial, batch_format="pyarrow")
-        .groupby(["lang", "v"])
-        .aggregate(Sum("n", alias_name="n"))
-        .to_pandas()  # <= |langs| x |distinct lengths| rows
-    ).sort_values(["lang", "v"])
-
     bounds = {}
-    for lang, sub in hist.groupby("lang"):
-        cum = sub["n"].cumsum().to_numpy()
+    for lang, (vs, cnts) in value_histogram(docs, "lang", "n_chars").items():
+        cum = np.cumsum(cnts)
         total = int(cum[-1])
-        vs = sub["v"].to_numpy()
         lo = vs[int(np.searchsorted(cum, max(1, int(np.ceil(0.05 * total)))))]
         hi = vs[int(np.searchsorted(cum, max(1, int(np.ceil(0.95 * total)))))]
         bounds[str(lang)] = (int(lo), int(hi))

@@ -34,7 +34,7 @@ import ray.data
 from ray.data.aggregate import Count, Max, Min, Sum
 
 from ..sources.io import read_table
-from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups
+from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups, value_histogram
 from ..synth import EPOCH_US, URL_SQL, link_page_html, wrap_documents_batch
 
 DAY_US = 86_400_000_000
@@ -389,24 +389,14 @@ def q_lang_ntile(sf_dir: str):
     segment-arange kernel per bucket.  NTILE's uneven-bucket rule
     (first c%N tiles get the extra row) is then a closed-form vectorized
     expression over (rank, total) — no per-group Python anywhere."""
-    hist_src = read_table(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().groupby(["lang", "n_chars"]).size().rename("cnt")
-        return pa.Table.from_pandas(df.reset_index(), preserve_index=False)
-
-    hist = (
-        hist_src.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
+    hist = value_histogram(
+        read_table(sf_dir, "documents", columns=["lang", "n_chars"]), "lang", "n_chars"
     )
     base: dict = {}
     totals: dict = {}
-    for lang, g in hist.sort_values(["lang", "n_chars"]).groupby("lang", sort=False):
-        cnts = g["cnt"].to_numpy(np.int64)
+    for lang, (vals, cnts) in hist.items():
         cum = np.concatenate([[0], np.cumsum(cnts)])
-        for v, b in zip(g["n_chars"].to_numpy(np.int64), cum[:-1]):
+        for v, b in zip(vals, cum[:-1]):
             base[(lang, int(v))] = int(b)
         totals[lang] = int(cum[-1])
     shared = ray.put((base, totals))
@@ -474,17 +464,8 @@ def q_robust_outliers(sf_dir: str):
     driver (state bounded by #langs x #distinct lengths, never row count).
     Every arithmetic step is exact in binary (medians of ints and halves),
     so the oracle needs no rounding tolerance."""
-    ds = read_table(sf_dir, "documents", columns=["lang", "n_chars"])
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        df = batch.to_pandas().groupby(["lang", "n_chars"]).size().rename("cnt")
-        return pa.Table.from_pandas(df.reset_index(), preserve_index=False)
-
-    hist = (
-        ds.map_batches(partial_counts, batch_format="pyarrow")
-        .groupby(["lang", "n_chars"])
-        .aggregate(Sum("cnt", alias_name="cnt"))
-        .to_pandas()
+    hist = value_histogram(
+        read_table(sf_dir, "documents", columns=["lang", "n_chars"]), "lang", "n_chars"
     )
 
     def wmedian(vals: np.ndarray, cnts: np.ndarray) -> float:
@@ -501,9 +482,8 @@ def q_robust_outliers(sf_dir: str):
         return (lo + hi) / 2.0
 
     rows = []
-    for lang, g in hist.sort_values(["lang", "n_chars"]).groupby("lang", sort=True):
-        vals = g["n_chars"].to_numpy(np.int64).astype(np.float64)
-        cnts = g["cnt"].to_numpy(np.int64)
+    for lang, (vals, cnts) in hist.items():
+        vals = vals.astype(np.float64)
         med = wmedian(vals, cnts)
         dev = np.abs(vals - med)
         order = np.argsort(dev, kind="stable")

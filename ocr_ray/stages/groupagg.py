@@ -22,6 +22,9 @@ deterministic regrouping of the same rows.
 ...) <= k`` on the same shuffle: one :func:`topk_rows` (one Arrow sort,
 one adjacent-key scan) per block as the map-side partial, then one per
 bucket.
+
+:func:`value_histogram` is the per-group (value, count) histogram that
+exact per-group ranks and quantiles walk on the driver.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
+import ray
 import ray.data
 
 from ..functions.strhash import key_hash
@@ -258,6 +262,50 @@ def bucketed_group_agg(
         return pa.table(out)
 
     return bucketed_map_groups(ds, keys, kernel, n_buckets=n_buckets)
+
+
+def value_histogram(ds: ray.data.Dataset, group: str, value: str) -> dict:
+    """``{g: (values, counts)}``: each ``group`` value's sorted distinct
+    ``value``s (an integer column) and their row counts, keys in sorted
+    order — the value-histogram behind exact per-group order statistics.
+
+    One lexsort + run-length count per batch map-side, one groupby-sum
+    shuffle over the distinct (group, value) pairs, and the driver holds
+    only those pairs: bounded by #groups x #distinct values, never by row
+    count."""
+    from ray.data.aggregate import Sum
+
+    def partial(batch: pa.Table) -> pa.Table:
+        enc = pc.dictionary_encode(batch.column(group).combine_chunks())
+        g = np.asarray(enc.indices, dtype=np.int64)
+        v = batch.column(value).to_numpy().astype(np.int64)
+        order = np.lexsort((v, g))
+        g, v = g[order], v[order]
+        new = np.ones(len(g), bool)
+        new[1:] = (g[1:] != g[:-1]) | (v[1:] != v[:-1])
+        starts = np.flatnonzero(new)
+        return pa.table({
+            group: enc.dictionary.take(pa.array(g[starts])),
+            value: pa.array(v[starts]),
+            "cnt": pa.array(np.diff(np.append(starts, len(g)))),
+        })
+
+    hist = (
+        ds.map_batches(partial, batch_format="pyarrow")
+        .groupby([group, value])
+        .aggregate(Sum("cnt", alias_name="cnt"))
+    )
+    parts = [t for t in ray.get(hist.to_arrow_refs()) if t.num_rows]
+    if not parts:
+        return {}
+    tbl = pa.concat_tables(parts).sort_by([(group, "ascending"), (value, "ascending")])
+    keys = tbl.column(group).to_pylist()
+    vals = tbl.column(value).to_numpy().astype(np.int64)
+    cnts = tbl.column("cnt").to_numpy().astype(np.int64)
+    starts = [i for i in range(len(keys)) if i == 0 or keys[i] != keys[i - 1]]
+    return {
+        keys[a]: (vals[a:b], cnts[a:b]) for a, b in zip(starts, starts[1:] + [len(keys)])
+    }
 
 
 def tree_merge_partials(

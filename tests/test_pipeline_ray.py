@@ -50,6 +50,29 @@ def test_exploded_matches_oracle(ray_session, corpus, oracle):
     assert _collect(ray_session, ds, oracle.schema).equals(oracle)
 
 
+@pytest.mark.parametrize(
+    "footnote_mode",
+    ["keep", "skip", "insert", "insert_next_sentence", "insert_last_sentence"],
+)
+def test_fused_matches_exploded_in_every_footnote_mode(ray_session, corpus, footnote_mode):
+    """Both modes give the same rows in every footnote mode, also for the
+    markdown pages whose image paragraphs carry no ``text`` key: such a
+    page extracts ``ok``, never ``KeyError: 'text'``."""
+    import ray.data
+
+    md = [u for u in corpus.column("url").to_pylist() if u.endswith(".md")]
+    assert md
+    want = reference.extract_table(corpus, footnote_mode=footnote_mode).sort_by("url")
+    for mode in ("fused", "exploded"):
+        ds = ex.extract_pages(
+            ray.data.from_arrow(corpus).repartition(6), mode=mode, footnote_mode=footnote_mode
+        )
+        got = _collect(ray_session, ds, want.schema)
+        assert got.to_pylist() == want.to_pylist(), mode
+    status = dict(zip(want.column("url").to_pylist(), want.column("status").to_pylist()))
+    assert all(status[u] == "ok" for u in md)
+
+
 def test_parallelism_invariance(ray_session, corpus, oracle):
     import ray.data
 

@@ -76,15 +76,71 @@ def test_exploded_run_and_resume(ray_session, tmp_path_factory):
     assert stats == {"extracted": 0, "skipped_partitions": 4}
 
 
-@pytest.mark.parametrize("cpus, want", [(1, 1), (2, 2), (3, 2), (8, 7), (32, 28)])
-def test_default_concurrency_fits_the_cluster(monkeypatch, cpus, want):
-    """The exploded mode's actor pool never asks for more actors than the
-    cluster has CPUs: on one CPU, a pool of 2 is more than Ray can place
-    (it warns that the operator's minimum is more than it can use)."""
-    import ray
+_EXPLODED_LIVENESS_SCRIPT = """
+import json, tempfile, time
 
-    monkeypatch.setattr(ray, "cluster_resources", lambda: {"CPU": float(cpus)})
-    assert ex.default_concurrency() == want
+import pyarrow as pa
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+import ray.data
+
+ray.data.DataContext.get_current().enable_progress_bars = False
+from ocr_ray import synth
+from ocr_ray.pipelines import extraction as ex
+
+corpus = synth.synth_corpus(60)
+corpus = pa.concat_tables([corpus, corpus.slice(0, 3)])
+with tempfile.TemporaryDirectory() as tmp:
+    out_f, out_e = tmp + "/fused", tmp + "/exploded"
+    ex.run_extraction(corpus, out_f, n_partitions=8)
+    t0 = time.perf_counter()
+    full = ex.run_extraction(corpus, out_e, n_partitions=8, mode="exploded")
+    t1 = time.perf_counter()
+    noop = ex.run_extraction(corpus, out_e, n_partitions=8, mode="exploded")
+    t2 = time.perf_counter()
+    assert full == {"extracted": 63, "skipped_partitions": 0}, full
+    assert noop == {"extracted": 0, "skipped_partitions": 8}, noop
+    a = ex.read_extracted(out_f)
+    b = ex.read_extracted(out_e).select(a.column_names).cast(a.schema)
+    assert a.equals(b)
+ray.shutdown()
+print(json.dumps({"full_s": t1 - t0, "noop_s": t2 - t1}))
+"""
+
+
+def test_exploded_run_finishes_on_one_cpu():
+    """On a 1-CPU Ray cluster an exploded run over 63 pages (three of them
+    recrawls) finishes within 10 s and its no-op resume within 5 s, with
+    the rows of a fused run: no stage holds the one CPU the stages around
+    it need (an actor pool took 20 s and 10 s here).  Runs in its own
+    process (own Ray cluster), killed with its whole process group on
+    timeout."""
+    import json
+    import os
+    import pathlib
+    import signal
+    import subprocess
+    import sys
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root))
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _EXPLODED_LIVENESS_SCRIPT],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("exploded run did not finish within 120 s on a 1-CPU cluster")
+    assert proc.returncode == 0, err[-3000:]
+    took = json.loads(out.strip().splitlines()[-1])
+    assert took["full_s"] < 10, took
+    assert took["noop_s"] < 5, took
 
 
 def test_max_blocks_cap():

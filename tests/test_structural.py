@@ -358,3 +358,63 @@ def test_recursion_guard_catches_self_calls():
         "    return list(node.children)\n"
     )
     assert _self_calls(ast.parse(src)) == ["iter_text", "prune"]
+
+
+def _row_literal_findings(tree) -> list:
+    """(top-level def, line) of every dict literal or ``dict(...)`` call in
+    ``tree`` that holds both an ``extracted`` and a ``digest`` key: an
+    EXTRACTED row built by hand."""
+    import ast
+
+    found = []
+    for top in tree.body:
+        where = getattr(top, "name", None)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Dict):
+                keys = {k.value for k in node.keys if isinstance(k, ast.Constant)}
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+                keys = {kw.arg for kw in node.keywords}
+            else:
+                continue
+            if {"extracted", "digest"} <= keys:
+                found.append((where, node.lineno))
+    return found
+
+
+def test_one_row_policy():
+    """Only ``extract_core`` builds EXTRACTED rows (what an empty payload,
+    an exception and an ok page become): no other module in ``ocr_ray/``
+    writes a row literal with both ``extracted`` and ``digest`` keys."""
+    import ast
+    import pathlib
+
+    import ocr_ray
+
+    root = pathlib.Path(ocr_ray.__file__).parent
+    bad = []
+    for path in sorted(root.rglob("*.py")):
+        rel = path.relative_to(root).as_posix()
+        if rel != "extract_core.py":
+            for where, line in _row_literal_findings(ast.parse(path.read_text())):
+                bad.append(f"{rel}:{line} ({where})")
+    assert not bad, "EXTRACTED rows built outside extract_core:\n" + "\n".join(bad)
+
+
+def test_row_guard_catches_hand_built_rows():
+    """The guard above flags a dict literal and a ``dict(...)`` call that
+    build a row, and nothing that holds only one of the two keys."""
+    import ast
+
+    src = (
+        "def _assemble_one(rows, mode):\n"
+        "    if rows[0]['status'] == 'error':\n"
+        "        return {'url': u, 'extracted': '', 'digest': '', 'lang': l}\n"
+        "    return dict(base, extracted=text, digest=sha256_hex(text))\n"
+        "def stats(batch):\n"
+        "    return {'extracted': batch.num_rows, 'skipped_partitions': 0}\n"
+        "def q(batch):\n"
+        "    return pa.table({'url': batch['url'], 'digest': batch['digest']})\n"
+    )
+    assert sorted(_row_literal_findings(ast.parse(src))) == [
+        ("_assemble_one", 3), ("_assemble_one", 4)
+    ]
