@@ -5,8 +5,8 @@ nothing here (or in ocr_ray) calls ``ray.init`` / ``ray.shutdown``.
 
 - ``entry()``     — flagship extraction pipeline on sf0.001.
 - ``queries()``   — one callable per implemented operator family
-  (SURVEY.md §2); each takes ``sf_dir`` and returns a Dataset /
-  DataFrame / pyarrow Table.
+  (SURVEY.md §2); each takes ``sf_dir`` and returns a materialized
+  Dataset / DataFrame / pyarrow Table.
 - ``oracle_sql()``— DuckDB-equivalent SQL per query, same column names.
 """
 
@@ -18,9 +18,11 @@ from typing import Any
 
 def entry() -> Any:
     """Flagship pipeline on /root/testdata/sf0.001: documents -> synthetic
-    Common-Crawl-style pages -> two-stage detect+extract -> EXTRACTED."""
-    from ocr_ray.pipelines.queries import q_extract_identity
+    Common-Crawl-style pages -> two-stage detect+extract -> EXTRACTED,
+    returned as the registered query returns it: executed once."""
+    from ocr_ray.pipelines.queries import QUERIES
 
+    q_extract_identity = QUERIES["extract_identity"]
     return q_extract_identity("/root/testdata/sf0.001")
 
 

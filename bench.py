@@ -108,7 +108,7 @@ def ensure_bench_pages(sf_dir: str) -> str:
 
 
 def run_headline(pages_path: str, out_dir: str) -> dict:
-    """read -> extract (actor pool) -> write; returns timing + row counts."""
+    """read -> extract (stateless tasks) -> write; returns timing + row counts."""
     import shutil
 
     import ray.data
@@ -238,7 +238,7 @@ def run_queries(sf_dir: str) -> dict:
         t0 = time.perf_counter()
         res = Q.QUERIES[name](sf_dir)
         if isinstance(res, ray.data.Dataset):
-            res.to_pandas()  # force execution of lazy Datasets
+            res.to_pandas()  # collect the executed result
         out[name] = round(time.perf_counter() - t0, 3)
     return out
 

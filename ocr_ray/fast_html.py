@@ -1,5 +1,6 @@
-"""Fast regex-driven HTML tokenizer building the same Node tree as
-:mod:`ocr_ray.html_extract`'s stdlib-based builder.
+"""Fast regex-driven HTML tokenizer building the same Node tree as a
+stdlib ``html.parser`` builder would (the tests keep one, in
+tests/html_stdlib.py).
 
 ``html.parser.HTMLParser`` is pure Python with per-character bookkeeping;
 for boilerplate-strip workloads a single compiled-regex scan over the
@@ -25,8 +26,7 @@ Semantics are kept identical to the stdlib builder — same implicit-</p>
 handling, void tags, stray-close tolerance, entity unescaping, script/style
 raw-text skipping — and pinned by an equivalence test that asserts
 byte-identical extraction over the full archetype corpus
-(tests/test_fast_html.py).  ``html_extract.parse_html`` dispatches here by
-default; set ``OCR_RAY_SLOW_HTML=1`` to force the stdlib path.
+(tests/test_fast_html.py).  ``html_extract.parse_html`` is this parser.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Stage-1/2 HTML extraction: boilerplate strip + block segmentation + paragraphs.
 
-Reimplements, from scratch on the stdlib ``html.parser`` (no bs4/lxml in this
+Reimplements, from scratch on the ``fast_html`` tokenizer (no bs4/lxml in this
 container), the semantics of the reference HTML parser
 (/root/reference/utils/text/parsers/html_parser.py):
 
@@ -40,9 +40,8 @@ no globals, no I/O.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from html.parser import HTMLParser as _StdHTMLParser
 
-from .fast_html import _parse_attrs, fast_parse, pop_to
+from .fast_html import _parse_attrs, fast_parse
 
 VOID_TAGS = frozenset(
     "area base br col embed hr img input link meta param source track wbr".split()
@@ -132,59 +131,12 @@ class Document(Node):
         self.titles: list[Node] = []
 
 
-class _TreeBuilder(_StdHTMLParser):
-    """Forgiving HTML -> Node tree; tolerates unclosed tags."""
-
-    def __init__(self):
-        super().__init__(convert_charrefs=True)
-        self.root = Document()
-        self.stack: list[Node] = [self.root]
-        self.open_n: dict[str, int] = {}
-
-    def _add(self, tag, attrs) -> Node:
-        node = Node(tag, dict(attrs))
-        self.stack[-1].children.append(node)
-        if tag == "title":
-            self.root.titles.append(node)
-        return node
-
-    def handle_starttag(self, tag, attrs):
-        if tag in _P_CLOSERS:
-            pop_to(self.stack, self.open_n, "p")  # implicit </p>
-        node = self._add(tag, attrs)
-        if tag not in VOID_TAGS:
-            self.stack.append(node)
-            self.open_n[tag] = self.open_n.get(tag, 0) + 1
-
-    def handle_startendtag(self, tag, attrs):
-        self._add(tag, attrs)
-
-    def handle_endtag(self, tag):
-        pop_to(self.stack, self.open_n, tag)  # a stray close tag is ignored
-
-    def handle_data(self, data):
-        if data:
-            self.stack[-1].children.append(data)
-
-
-def parse_html_stdlib(html: str) -> Document:
-    builder = _TreeBuilder()
-    builder.feed(html)
-    builder.close()
-    return builder.root
-
-
 def parse_html(html: str) -> Document:
-    """Parse to a Node tree: fast regex tokenizer by default
-    (ocr_ray.fast_html; 3.7-4.5x the stdlib builder's parse rate over the
-    3,110 HTML pages of the benchmark's ``cc_mixed_resume`` seed 41, one
-    core), stdlib fallback via ``OCR_RAY_SLOW_HTML=1``.  Both builders are
-    equivalence-tested to byte-identical extraction
-    (tests/test_fast_html.py)."""
-    import os
-
-    if os.environ.get("OCR_RAY_SLOW_HTML"):
-        return parse_html_stdlib(html)
+    """Parse to a Node tree with the regex tokenizer (ocr_ray.fast_html;
+    3.7-4.5x the stdlib ``html.parser`` builder's parse rate over the 3,110
+    HTML pages of the benchmark's ``cc_mixed_resume`` seed 41, one core).
+    The stdlib builder lives in the tests (tests/html_stdlib.py), which
+    pin both builders to byte-identical extraction."""
     return fast_parse(html, Document(), Node, VOID_TAGS, _P_CLOSERS)
 
 

@@ -14,7 +14,7 @@ import ray.data
 from ..schema import list_column_matrix
 from ray.data.aggregate import Count, Min
 
-from ..sources.io import read_table
+from ..sources.io import collect_tables, read_table
 from ..stages.groupagg import group_topk, topk_rows
 
 # ---------------------------------------------------------------------------
@@ -91,7 +91,7 @@ def q_knn_multi(sf_dir: str):
     )
     partials = ds.map_batches(batch_topk, batch_format="pyarrow", batch_size=4096)
     # resolve partials: tiny table (Q * k * n_batches rows) -> top-k per qid
-    parts = [t for t in ray.get(partials.to_arrow_refs()) if t.num_rows]
+    parts = collect_tables(partials)
     return topk_rows(pa.concat_tables(parts), ["qid"], order, k).select(
         ["qid", "vec_id"]
     )

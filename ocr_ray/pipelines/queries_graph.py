@@ -30,11 +30,10 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import ray
 import ray.data
 from ray.data.aggregate import Count, Sum
 
-from ..sources.io import read_table
+from ..sources.io import collect_tables, read_table
 from ..stages.dedup import distinct_rows
 from ..stages.groupagg import bucketed_group_agg, bucketed_map_groups
 from ..stages.joins import auto_join
@@ -99,7 +98,7 @@ def q_pagerank(sf_dir: str):
     size = wedges.size_bytes()
     if size is not None and size <= BROADCAST_BYTES:
         # ---- provably-small graph: one in-driver integer kernel ----
-        wt = pa.concat_tables(ray.get(wedges.to_arrow_refs()))
+        wt = pa.concat_tables(collect_tables(wedges))
         src = wt.column("src").to_numpy(zero_copy_only=False).astype(np.int64)
         dst = wt.column("dst").to_numpy(zero_copy_only=False).astype(np.int64)
         w = wt.column("w").to_numpy(zero_copy_only=False).astype(np.int64)

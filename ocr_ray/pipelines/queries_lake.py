@@ -35,7 +35,7 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from ..sources.io import cpu_count, read_table
+from ..sources.io import collect_tables, cpu_count, read_table
 
 # ---------------------------------------------------------------------------
 # changelog apply (CDC MERGE): latest-wins upsert/delete onto a snapshot
@@ -885,10 +885,9 @@ def _kth_smallest(ds, column: str, k: int, lo: float, hi: float, n_range: int) -
         np.concatenate(
             [
                 t.column("v").to_numpy(zero_copy_only=False)
-                for t in ray.get(
-                    ds.map_batches(collect, batch_format="pyarrow").to_arrow_refs()
+                for t in collect_tables(
+                    ds.map_batches(collect, batch_format="pyarrow")
                 )
-                if t.num_rows
             ]
             or [np.array([], np.float64)]
         )

@@ -61,6 +61,25 @@ def cpu_count() -> int:
     return int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
 
 
+def collect_tables(ds: ray.data.Dataset) -> list[pa.Table]:
+    """The non-empty Arrow blocks of ``ds``, from ONE run of its plan.
+
+    Collect through here, never ``ray.get(ds.to_arrow_refs())``: on a lazy
+    Dataset, Ray 2.49's ``to_arrow_refs`` runs the plan and then asks for
+    its schema, and only a Read, Sort, Repartition or Limit tail reports a
+    schema without running.  Any other tail (a map, an aggregate) runs a
+    second time as ``limit(1)``, and above an all-to-all that second run
+    repeats the whole upstream.  A map -> sort -> map pipeline shows it:
+    ``to_arrow_refs()`` runs it twice, while ``iter_batches``,
+    ``to_pandas``, ``take_all``, ``count`` and
+    ``materialize().to_arrow_refs()`` each run it once.  Empty blocks
+    (which may carry no schema) are dropped."""
+    return [
+        t for t in ds.iter_batches(batch_format="pyarrow", batch_size=None)
+        if t.num_rows
+    ]
+
+
 def table_shuffle_blocks(sf_dir: str, name: str, *, scale: float = 1.0) -> int:
     """Shuffle width hint for pipelines derived from one testdata table:
     the derived row set (signatures, candidate pairs, exploded tokens) is

@@ -96,13 +96,13 @@ class LocalCorpusBackend:
         self.corpus_factory = corpus_factory
 
     def fetch_urls(self, formatted_query: str, *, n: int = 5) -> list[str]:
-        import ray
+        from .io import collect_tables
 
         ds = rank_corpus(
             self.corpus_factory(), {0: query_terms(formatted_query)}, n=n
         )
         # no match leaves only empty blocks, which carry no schema
-        tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+        tbls = collect_tables(ds)
         if not tbls:
             return []
         return pa.concat_tables(tbls).sort_by("rank").column("url").to_pylist()

@@ -32,10 +32,10 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 import ray.data
 
 from ..functions.strhash import key_hash
+from ..sources.io import collect_tables
 
 
 def bucket_ids(table: pa.Table, keys: list[str], n_buckets: int) -> np.ndarray:
@@ -295,7 +295,7 @@ def value_histogram(ds: ray.data.Dataset, group: str, value: str) -> dict:
         .groupby([group, value])
         .aggregate(Sum("cnt", alias_name="cnt"))
     )
-    parts = [t for t in ray.get(hist.to_arrow_refs()) if t.num_rows]
+    parts = collect_tables(hist)
     if not parts:
         return {}
     tbl = pa.concat_tables(parts).sort_by([(group, "ascending"), (value, "ascending")])

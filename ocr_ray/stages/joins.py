@@ -27,6 +27,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 
+from ..sources.io import collect_tables
 from .groupagg import bucketed_group_agg, bucketed_map_groups
 
 #: hash_join's join types -> the Acero join verb run inside each bucket
@@ -151,7 +152,7 @@ def _known_size(ds: ray.data.Dataset) -> int | None:
 def _collect_small(ds: ray.data.Dataset):
     """Small-by-contract dataset -> one Arrow table (schema-less empty
     blocks from upstream map_groups are dropped)."""
-    tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    tbls = collect_tables(ds)
     return pa.concat_tables(tbls).combine_chunks() if tbls else None
 
 

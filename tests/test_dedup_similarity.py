@@ -6,6 +6,7 @@ import numpy as np
 import pyarrow as pa
 import pytest
 
+from ocr_ray.sources.io import collect_tables
 from ocr_ray.stages import dedup
 
 
@@ -17,7 +18,7 @@ def _docs_table(texts, ids=None):
 def _collect(out):
     """Dataset -> pa.Table at the test edge (the dedup pipelines return
     DATASETS since r3 so verified pairs stay distributed at corpus scale)."""
-    return pa.Table.from_pandas(out.to_pandas(), preserve_index=False)
+    return pa.concat_tables(collect_tables(out))
 
 
 WORDS = "alpha beta gamma delta epsilon zeta eta theta iota kappa".split()
@@ -486,7 +487,6 @@ def test_bucketed_group_apply_contiguous_output(ray_session):
     shuffle as at most one chunk per bucket in every output block (they
     were one chunk per GROUP, which made the next all-to-all ~20x
     slower)."""
-    import ray
     import ray.data
 
     from ocr_ray.sources.io import cpu_count
@@ -503,8 +503,7 @@ def test_bucketed_group_apply_contiguous_output(ray_session):
     )
     n_buckets = 8 * max(4, cpu_count())
     seen = []
-    for ref in out.to_arrow_refs():
-        block = ray.get(ref)
+    for block in collect_tables(out):
         assert all(col.num_chunks <= n_buckets for col in block.columns)
         seen += block.column("k").to_pylist()
     assert sorted(seen) == list(range(n_groups))

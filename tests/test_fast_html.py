@@ -9,6 +9,8 @@ import pytest
 from ocr_ray import html_extract as hx
 from ocr_ray.extract_core import extract_page
 
+from .html_stdlib import stdlib_builder
+
 CASES = [
     "<p>plain text</p>",
     "<p>a &amp; b &lt;tag&gt; &#65;</p>",                      # entities
@@ -38,11 +40,10 @@ CASES = [
 
 
 @pytest.mark.parametrize("snippet", CASES, ids=range(len(CASES)))
-def test_fast_equals_stdlib(snippet, monkeypatch):
+def test_fast_equals_stdlib(snippet):
     html = "<html><head><title>t</title></head><body>{}</body></html>".format(snippet)
-    monkeypatch.setenv("OCR_RAY_SLOW_HTML", "1")
-    slow = extract_page("u", html.encode())
-    monkeypatch.delenv("OCR_RAY_SLOW_HTML")
+    with stdlib_builder():
+        slow = extract_page("u", html.encode())
     fast = extract_page("u", html.encode())
     assert slow == fast
 

@@ -8,13 +8,12 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ocr_ray.pipelines import queries_graph as qg
+from ocr_ray.sources.io import collect_tables
 
 
 def _rank_table(sf_dir: str) -> pa.Table:
-    out = qg.q_pagerank(sf_dir)
-    return pa.concat_tables(out.to_arrow_refs_resolved()) if hasattr(
-        out, "to_arrow_refs_resolved"
-    ) else pa.Table.from_pandas(out.to_pandas())
+    out = qg.q_pagerank(sf_dir)  # the small-graph path returns a Table
+    return out if isinstance(out, pa.Table) else pa.concat_tables(collect_tables(out))
 
 
 def test_pagerank_mass_and_ordering(ray_session, tmp_path):

@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 import pyarrow as pa
 import pytest
 
+from ocr_ray.sources.io import collect_tables
 from ocr_ray.stages import groupagg
 from ocr_ray.stages.groupagg import group_topk, topk_rows
 
@@ -62,9 +63,7 @@ def _blocks(tbl: pa.Table, n_blocks: int) -> list[pa.Table]:
 def _collect(ds) -> pa.Table | None:
     """The rows of ``ds`` as one table, None when it has none (Ray hands an
     empty bucket back as a block with no schema)."""
-    import ray
-
-    tbls = [t for t in ray.get(ds.to_arrow_refs()) if t.num_rows]
+    tbls = collect_tables(ds)
     return pa.concat_tables(tbls) if tbls else None
 
 
@@ -109,9 +108,7 @@ def test_group_topk_matches_duckdb(ray_session, monkeypatch, case):
         assert _rows(got) == want
     assert _rows(topk_rows(tbl, keys, order_by, k)) == want
     (partials,) = shuffled
-    for block in ray_session.get(partials.to_arrow_refs()):
-        if not block.num_rows:
-            continue
+    for block in collect_tables(partials):
         per_key = collections.Counter(zip(*(block.column(c).to_pylist() for c in keys)))
         assert all(n <= k for n in per_key.values())
 

@@ -12,6 +12,8 @@ from ocr_ray import html_extract as hx
 from ocr_ray import synth
 from ocr_ray.extract_core import extract_page
 
+from .html_stdlib import stdlib_builder
+
 
 def _page(body, title="t"):
     return "<html><head><title>{}</title></head><body>{}</body></html>".format(title, body)
@@ -228,10 +230,10 @@ def test_deep_page_is_ok_in_bounded_time(name):
 
 
 @pytest.mark.parametrize("name", sorted(DEEP_PAGES))
-def test_deep_page_stdlib_builder_agrees(name, monkeypatch):
+def test_deep_page_stdlib_builder_agrees(name):
     body, text = DEEP_PAGES[name]
-    monkeypatch.setenv("OCR_RAY_SLOW_HTML", "1")
-    row = extract(_page(body))
+    with stdlib_builder():
+        row = extract(_page(body))
     assert (row["status"], row["extracted"]) == ("ok", text), row["error"]
 
 

@@ -7,14 +7,13 @@ The stdlib builder is no oracle for the regex one on random soup (the two
 disagree on unterminated tags at EOF, self-closing p-closers and more), so
 each builder is checked against its own frozen copy."""
 
-import os
-
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ocr_ray import html_extract as hx
 
 from . import html_reference as ref
+from .html_stdlib import stdlib_builder
 
 TAGS = (
     "div p span b em a li ul ol dl dt dd table thead tbody tr td th "
@@ -98,11 +97,8 @@ def _call(fn, html, stdlib):
     """``fn(html)`` under the builder ``stdlib`` selects."""
     if not stdlib:
         return fn(html)
-    os.environ["OCR_RAY_SLOW_HTML"] = "1"
-    try:
+    with stdlib_builder():
         return fn(html)
-    finally:
-        del os.environ["OCR_RAY_SLOW_HTML"]
 
 
 def _summary(page):

@@ -9,6 +9,7 @@ import sys
 import pandas as pd
 import pytest
 
+from ocr_ray.sources.io import collect_tables
 from ocr_ray.stages import joins
 
 
@@ -414,8 +415,11 @@ def test_hash_join_empty_side(ray_session, join_type, empty):
     out = joins.hash_join(
         ray.data.from_arrow(lt), ray.data.from_arrow(rt),
         on="k", right_on="rk", join_type=join_type,
+    ).materialize()
+    # no rows: the executed result still knows its schema
+    got = pa.concat_tables(
+        collect_tables(out) or [out.schema().base_schema.empty_table()]
     )
-    got = pa.concat_tables(ray.get(out.to_arrow_refs()))
 
     fields = {f.name: f for f in list(lt.schema) + list(rt.schema)}
     names = {

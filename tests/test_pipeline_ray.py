@@ -13,6 +13,7 @@ import pytest
 
 from ocr_ray import reference, synth
 from ocr_ray.pipelines import extraction as ex
+from ocr_ray.sources.io import collect_tables
 from ocr_ray.state import manifest as mf
 
 from . import keyhash_reference as ref
@@ -30,9 +31,8 @@ def oracle(corpus):
     return reference.extract_table(corpus).sort_by("url")
 
 
-def _collect(ray, ds, schema) -> pa.Table:
-    tables = [ray.get(r) for r in ds.to_arrow_refs()]
-    tables = [t for t in tables if t.num_rows]
+def _collect(ds, schema) -> pa.Table:
+    tables = collect_tables(ds)
     return pa.concat_tables(t.select(schema.names).cast(schema) for t in tables).sort_by("url")
 
 
@@ -40,14 +40,14 @@ def test_fused_matches_oracle(ray_session, corpus, oracle):
     import ray.data
 
     ds = ex.extract_pages(ray.data.from_arrow(corpus).repartition(6), mode="fused")
-    assert _collect(ray_session, ds, oracle.schema).equals(oracle)
+    assert _collect(ds, oracle.schema).equals(oracle)
 
 
 def test_exploded_matches_oracle(ray_session, corpus, oracle):
     import ray.data
 
     ds = ex.extract_pages(ray.data.from_arrow(corpus).repartition(6), mode="exploded")
-    assert _collect(ray_session, ds, oracle.schema).equals(oracle)
+    assert _collect(ds, oracle.schema).equals(oracle)
 
 
 @pytest.mark.parametrize(
@@ -67,7 +67,7 @@ def test_fused_matches_exploded_in_every_footnote_mode(ray_session, corpus, foot
         ds = ex.extract_pages(
             ray.data.from_arrow(corpus).repartition(6), mode=mode, footnote_mode=footnote_mode
         )
-        got = _collect(ray_session, ds, want.schema)
+        got = _collect(ds, want.schema)
         assert got.to_pylist() == want.to_pylist(), mode
     status = dict(zip(want.column("url").to_pylist(), want.column("status").to_pylist()))
     assert all(status[u] == "ok" for u in md)
@@ -80,7 +80,7 @@ def test_parallelism_invariance(ray_session, corpus, oracle):
         ds = ex.extract_pages(
             ray.data.from_arrow(corpus).repartition(nblocks), mode="fused", batch_size=7
         )
-        assert _collect(ray_session, ds, oracle.schema).equals(oracle)
+        assert _collect(ds, oracle.schema).equals(oracle)
 
 
 def test_run_and_resume(ray_session, corpus, oracle, tmp_path_factory):
@@ -168,7 +168,7 @@ def test_documents_identity_roundtrip(ray_session):
     docs = pq.read_table("/root/testdata/sf0.001/documents.parquet")
     pages = synth.pages_from_documents(docs)
     ds = ex.extract_pages(ray.data.from_arrow(pages).repartition(4), mode="fused")
-    got = _collect(ray_session, ds, reference.extract_table(pages.slice(0, 1)).schema)
+    got = _collect(ds, reference.extract_table(pages.slice(0, 1)).schema)
     by_url = dict(zip(got.column("url").to_pylist(), got.column("extracted").to_pylist()))
     for url, text in zip(pages.column("url").to_pylist(), pages.column("text").to_pylist()):
         assert by_url[url] == text

@@ -328,6 +328,38 @@ def test_curation_neardup_keeps_canonical_and_unclustered(ray_session, tmp_path)
     assert set(out["source"]) == {"s0"}
 
 
+def test_registered_query_runs_once(ray_session, tmp_path, plan_runs):
+    """A registered query hands back an executed Dataset: collecting it
+    (``to_arrow_refs``, ``to_pandas``) starts no further plan run."""
+    import pyarrow.parquet as pq
+    from ray.data.dataset import MaterializedDataset
+
+    from ocr_ray.pipelines.queries import QUERIES
+
+    base = " ".join("tok%d" % i for i in range(40))
+    texts = [base, base + " extra", base + " other"] + [
+        " ".join("w%d_%d" % (i, j) for j in range(8)) for i in range(9)
+    ]
+    t = pa.table(
+        {
+            "doc_id": pa.array(range(len(texts)), pa.int64()),
+            "text": pa.array(texts),
+            "n_chars": pa.array([len(x) for x in texts], pa.int64()),
+            "source": pa.array(["s%d" % (i % 3) for i in range(len(texts))]),
+        }
+    )
+    pq.write_table(t, str(tmp_path / "documents.parquet"))
+    out = QUERIES["curation_neardup"](str(tmp_path))
+    assert isinstance(out, MaterializedDataset)
+    ran = len(plan_runs)
+    blocks = [t for t in ray_session.get(out.to_arrow_refs()) if t.num_rows]
+    df = out.to_pandas()
+    assert plan_runs[ran:] == []
+    got = pa.concat_tables(blocks)
+    assert df["doc_id"].tolist() == got.column("doc_id").to_pylist()
+    assert sorted(got.column("doc_id").to_pylist()) == [1] + list(range(3, 12))
+
+
 def test_doc_zscore_known_values(ray_session, tmp_path):
     import pyarrow.parquet as pq
 

@@ -1,9 +1,10 @@
 """sources/io tests."""
 
+import pyarrow as pa
 import pyarrow.parquet as pq
 
 from ocr_ray import synth
-from ocr_ray.sources.io import read_pages, read_table
+from ocr_ray.sources.io import collect_tables, read_pages, read_table
 
 
 def test_read_pages_table_vs_parquet(ray_session, tmp_path):
@@ -161,3 +162,45 @@ def test_read_evolved_type_conflict_raises(ray_session, tmp_path):
     pq.write_table(pa.table({"x": [1]}), str(tmp_path / "b.parquet"))
     with _pytest.raises(ValueError):
         read_evolved(str(tmp_path))
+
+
+def _logged(path):
+    """A map_batches UDF that appends one line per call, with the batch's
+    row count, to ``path``."""
+
+    def log(batch: pa.Table) -> pa.Table:
+        with open(path, "a") as f:
+            f.write("%d\n" % batch.num_rows)
+        return batch
+
+    return log
+
+
+def test_collect_runs_each_plan_once(ray_session, tmp_path, plan_runs):
+    """map -> sort -> map: the tail UDF sees every row exactly once.  A bare
+    ``ray.get(ds.to_arrow_refs())`` runs this plan a second time as
+    ``limit(1)`` to learn its schema (Ray 2.49), so its tail logs more."""
+    import ray.data
+
+    log = tmp_path / "tail.log"
+    ds = (
+        ray.data.range(200, override_num_blocks=4)
+        .map_batches(lambda b: b, batch_format="pyarrow")
+        .sort("id")
+        .map_batches(_logged(str(log)), batch_format="pyarrow", batch_size=25)
+    )
+    tables = collect_tables(ds)
+    calls = [int(n) for n in log.read_text().split()]
+    assert sum(calls) == 200 and all(calls)
+    assert len(plan_runs) == 1
+    assert pa.concat_tables(tables).column("id").to_pylist() == list(range(200))
+
+
+def test_collect_tables_drops_empty_blocks(ray_session):
+    import ray.data
+
+    ds = ray.data.range(40, override_num_blocks=4).filter(expr="id >= 30")
+    tables = collect_tables(ds)
+    assert tables and all(t.num_rows for t in tables)
+    assert sum(t.num_rows for t in tables) == 10
+    assert collect_tables(ray.data.range(8).filter(expr="id < 0")) == []

@@ -3,6 +3,7 @@
 import pyarrow as pa
 
 from ocr_ray import reference, synth
+from ocr_ray.sources.io import collect_tables
 from ocr_ray.stages.extract import extract_batch
 
 
@@ -17,9 +18,7 @@ def test_ray_structural_matches_oracle(ray_session):
         batch_format="pyarrow",
         batch_size=7,
     )
-    got = pa.concat_tables(
-        [t for t in (ray_session.get(r) for r in ds.to_arrow_refs()) if t.num_rows]
-    )
+    got = pa.concat_tables(collect_tables(ds))
     got = got.select(oracle.column_names).cast(oracle.schema).sort_by("url")
     assert got.equals(oracle)
 
