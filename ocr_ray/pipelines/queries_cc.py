@@ -8,7 +8,7 @@ beyond document-level dedup (CCNet dedups at PARAGRAPH granularity before
 anything else; domain caps bound any single site's contribution; length
 quantiles drive the quality-filter thresholds).  Each is built to the
 repo's scale rules: partial aggregation before every shuffle, size-planned
-joins, bucketed reassembly (one Python call per bucket, never per key), and
+joins, bucketed reassembly (one Python call per block, never per key), and
 a driver that only ever holds provably-small state.
 """
 
@@ -17,11 +17,12 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.aggregate import Min, Sum
 
-from ..sources.io import cpu_count, read_table, table_shuffle_blocks
+from ..sources.io import collect_tables, cpu_count, read_table, table_shuffle_blocks
 from ..stages.groupagg import (
     bucketed_group_agg,
     bucketed_map_groups,
@@ -649,7 +650,7 @@ def q_tfidf_by_source(sf_dir: str):
         {"tf": ("sum", "cnt")},
     )
     df_tbl = bucketed_group_agg(tf, ["word"], {"df": ("count", None)})
-    n_sources = len(ds.unique("source"))
+    n_sources = sum(t.num_rows for t in collect_tables(ds.groupby("source").count()))
 
     def score(batch: pa.Table) -> pa.Table:
         tf_v = batch.column("tf").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -952,11 +953,12 @@ def q_curation_neardup(sf_dir: str):
     source.  This is the composition a production curation run executes
     after quality filtering (corpus_curation covers the exact-dedup half).
 
-    Scale shape: the keep decision is a TAGGED UNION + one bucketed
-    max fold by doc_id (no anti-join operator): tag 0 = corpus row
-    (carries source), tag 1 = clustered, tag 2 = canonical; keep iff not
-    clustered or canonical.  The cap is one ``groupagg.group_topk`` (the
-    source_cap shape)."""
+    Scale shape: every document gets a cluster — a ``left_outer``
+    :func:`auto_join` with the (executed) clusters, ``cluster =
+    coalesce(cluster_id, doc_id)``, so an unclustered doc is its own
+    singleton (a ``cluster_id`` is a member's id, never an outsider's) —
+    then two ``groupagg.group_topk`` shuffles: the canonical row per
+    cluster (the SQL ``canon`` row_number) and the cap per source."""
     from ..stages import dedup
 
     docs = read_table(
@@ -965,89 +967,22 @@ def q_curation_neardup(sf_dir: str):
     pairs = dedup.minhash_dedup_pairs(
         docs, threshold=0.8, shuffle_blocks=table_shuffle_blocks(sf_dir, "documents")
     )
-    clusters = dedup.connected_components(pairs.select_columns(["a", "b"]))
+    clusters = dedup.connected_components(pairs.select_columns(["a", "b"])).materialize()
+    meta = read_table(sf_dir, "documents", columns=["doc_id", "source", "n_chars"])
 
-    # canonical per cluster: packed argmax (the dedup_canonical kernel)
-    lens = read_table(sf_dir, "documents", columns=["doc_id", "n_chars"])
-    joined = auto_join(clusters, lens, on="doc_id")
-    B = np.int64(1) << np.int64(32)
+    def own_cluster(batch: pa.Table) -> pa.Table:
+        cluster = pc.coalesce(batch.column("cluster_id"), batch.column("doc_id"))
+        return batch.drop_columns(["cluster_id"]).append_column("cluster", cluster)
 
-    def pack(batch: pa.Table) -> pa.Table:
-        ids = batch.column("doc_id").to_numpy(zero_copy_only=False)
-        nc = batch.column("n_chars").to_numpy(zero_copy_only=False)
-        packed = nc.astype(np.int64) * B + (B - np.int64(1) - ids.astype(np.int64))
-        return pa.table(
-            {"cluster_id": batch.column("cluster_id"),
-             "packed": pa.array(packed, pa.int64())}
-        )
-
-    def decode_canon(batch: pa.Table) -> pa.Table:
-        mx = batch.column("mx").to_numpy(zero_copy_only=False).astype(np.int64)
-        canon = (B - np.int64(1)) - (mx % B)
-        return pa.table(
-            {
-                "doc_id": pa.array(canon, pa.int64()),
-                "src": pa.array([""] * len(batch), pa.string()),
-                "clustered": pa.array(np.zeros(len(batch), np.int64), pa.int64()),
-                "canonical": pa.array(np.ones(len(batch), np.int64), pa.int64()),
-            }
-        )
-
-    # cluster_id is data-cardinality: bucketed lexsort/reduceat fold (r5)
-    canon = bucketed_group_agg(
-        joined.map_batches(pack, batch_format="pyarrow"),
-        ["cluster_id"],
-        {"mx": ("max", "packed")},
-    ).map_batches(decode_canon, batch_format="pyarrow")
-
-    corpus = read_table(sf_dir, "documents", columns=["doc_id", "source"]).map_batches(
-        lambda b: pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "src": b.column("source"),
-                "clustered": pa.array(np.zeros(b.num_rows, np.int64), pa.int64()),
-                "canonical": pa.array(np.zeros(b.num_rows, np.int64), pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
+    every = auto_join(meta, clusters, on="doc_id", join_type="left_outer")
+    canon = group_topk(
+        every.map_batches(own_cluster, batch_format="pyarrow"),
+        ["cluster"],
+        [("n_chars", "descending"), ("doc_id", "ascending")],
+        1,
     )
-    in_cluster = clusters.map_batches(
-        lambda b: pa.table(
-            {
-                "doc_id": b.column("doc_id"),
-                "src": pa.array([""] * b.num_rows, pa.string()),
-                "clustered": pa.array(np.ones(b.num_rows, np.int64), pa.int64()),
-                "canonical": pa.array(np.zeros(b.num_rows, np.int64), pa.int64()),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-
-    tagged = corpus.union(in_cluster).union(canon)
-    # doc_id is data-cardinality; string max runs through the kernel's
-    # dictionary-rank lane (r5)
-    folded = bucketed_group_agg(
-        tagged,
-        ["doc_id"],
-        {
-            "source": ("max", "src"),
-            "clustered": ("max", "clustered"),
-            "canonical": ("max", "canonical"),
-        },
-    )
-
-    def keep(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
-        mask = pc.or_(
-            pc.equal(batch.column("clustered"), pa.scalar(0)),
-            pc.equal(batch.column("canonical"), pa.scalar(1)),
-        )
-        return batch.filter(mask).select(["doc_id", "source"])
-
-    survivors = folded.map_batches(keep, batch_format="pyarrow")
     return group_topk(
-        survivors, ["source"], [("doc_id", "ascending")], 20
+        canon.select_columns(["doc_id", "source"]), ["source"], [("doc_id", "ascending")], 20
     ).select_columns(["doc_id", "source"])
 
 

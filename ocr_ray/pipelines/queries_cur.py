@@ -408,9 +408,11 @@ SQL_DOC_CHUNK_EXPLODE = (
 
 
 def q_distinct_segments(sf_dir: str):
-    """Distinct values of one column (ds.unique — a shuffle)."""
+    """Distinct values of one column: one groupby-count shuffle, collected
+    once (``Dataset.unique`` runs its aggregate twice)."""
     ds = read_table(sf_dir, "customer", columns=["c_mktsegment"])
-    vals = sorted(ds.unique("c_mktsegment"))
+    groups = collect_tables(ds.groupby("c_mktsegment").count())
+    vals = sorted(v for t in groups for v in t.column("c_mktsegment").to_pylist())
     return pa.table({"segment": pa.array(vals, pa.string())})
 
 

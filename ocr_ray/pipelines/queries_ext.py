@@ -564,35 +564,28 @@ SQL_DOC_TOKENS_BPE = (
 def q_bpe_roundtrip(sf_dir: str):
     """Learned byte-level BPE (ocr_ray.functions.bpe): merges trained on a
     64-doc sample, then every document is encoded to ids and decoded back
-    on an actor pool.  decode(encode(text)) == text for arbitrary unicode
-    is the tokenizer's correctness contract, and it is exactly
-    SQL-expressible: the oracle is the documents table itself."""
+    on stateless tasks (the merges ride as a ``fn_kwargs`` dict).
+    decode(encode(text)) == text for arbitrary unicode is the tokenizer's
+    correctness contract, and it is exactly SQL-expressible: the oracle is
+    the documents table itself."""
     from ..functions.bpe import BPETokenizer
 
     # byte-level encode/decode is the rare CPU-heavy per-row kernel here:
     # keep map parallelism even when the file is tiny (sized reads would
-    # otherwise hand the whole table to one actor)
+    # otherwise hand the whole table to one task)
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"], min_blocks=8)
     sample = ds.limit(64).take_all()
     tok = BPETokenizer.train([r["text"] for r in sample], n_merges=200)
-    tok_ref = ray.put(tok.to_dict())
 
-    class RoundTrip:
-        def __init__(self, ref):
-            self.tok = BPETokenizer.from_dict(ray.get(ref))  # once per actor
-
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            texts = batch.column("text").to_pylist()
-            decoded = [self.tok.decode(self.tok.encode(t)) for t in texts]
-            return pa.table(
-                {"doc_id": batch.column("doc_id"), "text": pa.array(decoded, pa.string())}
-            )
+    def round_trip(batch: pa.Table, tok: dict) -> pa.Table:
+        t = BPETokenizer.from_dict(tok)
+        decoded = [t.decode(t.encode(x)) for x in batch.column("text").to_pylist()]
+        return pa.table(
+            {"doc_id": batch.column("doc_id"), "text": pa.array(decoded, pa.string())}
+        )
 
     return ds.map_batches(
-        RoundTrip,
-        fn_constructor_kwargs={"ref": tok_ref},
-        batch_format="pyarrow",
-        concurrency=4,
+        round_trip, fn_kwargs={"tok": tok.to_dict()}, batch_format="pyarrow"
     )
 
 

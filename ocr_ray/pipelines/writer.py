@@ -16,15 +16,15 @@ Every output gets the same guarantees:
 
 The write runs on the keyed-bucket shuffle
 (``groupagg.bucketed_map_groups`` on ``key`` with ``n_partitions``
-buckets): the bucket id is the partition id, so each reduce task holds
-one whole partition and writes it to one file with a fixed name
-(:func:`write_partition`).  A run writes one file per partition it
-writes, whatever the input's block count, and a retried task rewrites
-the same path.  The cost is that one task holds a whole partition in
-memory; ROADMAP item 12 measures that hold at scale.  Each task also
-folds its partition's tiny stat partial; the driver streams the partials
-and adds them into dense per-partition arrays (:func:`fold_partials`), so
-the fold needs O(``n_partitions``) memory.
+buckets): the bucket id is the partition id, so each reduce block holds
+whole partitions, in partition order, and writes each one to one file
+with a fixed name (:func:`write_partition`).  A run writes one file per
+partition it writes, whatever the input's block count, and a retried
+task rewrites the same paths.  The cost is that one task holds whole
+partitions in memory; ROADMAP item 12 measures that hold at scale.  Each
+write also folds its partition's tiny stat partial; the driver streams
+the partials and adds them into dense per-partition arrays
+(:func:`fold_partials`), so the fold needs O(``n_partitions``) memory.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..functions.strhash import key_hash
-from ..stages.groupagg import bucketed_map_groups
+from ..stages.groupagg import bucket_ids, bucketed_map_groups
 from ..state import manifest as mf
 
 _U64 = (1 << 64) - 1
@@ -274,15 +274,23 @@ def write_partitioned(
         )
     if transform is not None:
         ds = transform(ds)
-    partials = bucketed_map_groups(
-        ds,
-        [key],
-        functools.partial(
-            write_partition, output_dir=output_dir, key=key,
-            n_partitions=n_partitions, format=format, digest=digest,
-        ),
-        n_buckets=n_partitions,
+    write = functools.partial(
+        write_partition, output_dir=output_dir, key=key,
+        n_partitions=n_partitions, format=format, digest=digest,
     )
+
+    def write_runs(block: pa.Table) -> pa.Table:
+        # a reduce block holds whole partitions sorted by partition id: one
+        # write per run of equal ids
+        pids = bucket_ids(block, [key], n_partitions)
+        steps = np.diff(pids)
+        if (steps < 0).any():  # a second run of one id would overwrite its file
+            raise ValueError("a reduce block is not in partition order")
+        cuts = np.flatnonzero(steps) + 1
+        bounds = zip([0, *cuts], [*cuts, len(pids)])
+        return pa.concat_tables([write(block.slice(a, b - a)) for a, b in bounds])
+
+    partials = bucketed_map_groups(ds, [key], write_runs, n_buckets=n_partitions)
     written = 0
     for r in fold_partials(partials, n_partitions):
         mf.commit_partition(

@@ -184,7 +184,7 @@ def rank_corpus(corpus_ds, queries: dict[int, list[str]], *, n: int = 5):
 
     Scale shape: queries broadcast once (``ray.put``), per-batch partials
     carry <= n rows per (batch, query), and the final merge runs the same
-    two ``topk_rows`` passes once per bucket of the keyed-bucket shuffle
+    two ``topk_rows`` passes once per reduce block of the keyed-bucket shuffle
     on ``query_id``."""
     import ray
 

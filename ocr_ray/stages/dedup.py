@@ -10,11 +10,11 @@ follow the same Ray shape:
       -> flat band/bucket rows        # explode: one row per (band, hash)
       -> groupby(bucket)              # THE shuffle: only sketch rows move,
                                       #   never the documents themselves
-      -> candidate pairs              # per-BUCKET pair kernel (MinHash:
+      -> candidate pairs              # per-BLOCK pair kernel (MinHash:
                                       #   triu gathers per group-size class,
                                       #   per-group Python only over budget)
       -> verify                       # exact metric on the small candidate
-                                      #   set, one batch call per bucket
+                                      #   set, one batch call per block
                                       #   (broadcast text lookup here;
                                       #   at 10^12 docs: hash-join back)
 
@@ -500,7 +500,7 @@ def verify_pairs_against_corpus(
     """Distributed exact-metric verify of candidate ``(a, b)`` pairs —
     the 10^12-doc shape: the corpus is NEVER materialized on the driver.
     ``batch_metric(vals_a, vals_b) -> float64[len]`` scores two
-    equal-length Arrow arrays in one vectorized call per bucket; it
+    equal-length Arrow arrays in one vectorized call per reduce block; it
     defaults to word-3gram Jaccard over ``text_col``
     (:func:`jaccard_batch`); pass a cosine kernel + an embedding column
     for vectors.
@@ -510,7 +510,7 @@ def verify_pairs_against_corpus(
        large; left_outer so a missing doc_id surfaces as a null text),
     3. regroup by a hash bucket of ``(a, b)``
        (:func:`~ocr_ray.stages.groupagg.bucketed_map_groups`: one call per
-       BUCKET, not per pair), pair rows via ONE lexsort + strided reshape,
+       reduce BLOCK, not per pair), pair rows via ONE lexsort + strided reshape,
        and score each pair inside the task.
 
     Raises inside the verify task if any candidate doc_id has no value in
@@ -598,17 +598,18 @@ def verify_pairs_against_corpus(
     )
 
     def norm(batch: pa.Table) -> pa.Table:
-        # groupless partitions emit schema-less empty blocks from
-        # map_groups; pin them to the output schema so downstream
-        # projections/sorts/joins see one stable schema
+        # a reduce block with no rows comes back schema-less; pin it to
+        # the output schema so downstream projections/sorts/joins see one
+        # stable schema
         if batch.num_columns == 0:
             return out_schema.empty_table()
         return batch
 
-    # verify parallelism follows the BLOCK count entering the bucket sort,
-    # not the bucket count: the broadcast-fetch path inherits the corpus's
-    # (often tiny) block count, which serialized the whole verify into one
-    # task — split to ~CPU blocks so every core scores a slice of buckets
+    # verify runs once per reduce block, and the bucket sort keeps the
+    # BLOCK count entering it, not the bucket count: the broadcast-fetch
+    # path inherits the corpus's (often tiny) block count, which serialized
+    # the whole verify into one task — split to ~CPU blocks so every core
+    # scores a slice of buckets
     n_buckets = 64
     n_blocks = max(pre_shuffle_blocks or 1, min(n_buckets, cpu_count()))
     return bucketed_map_groups(
@@ -630,18 +631,18 @@ def bucketed_group_apply(
     pre_shuffle_blocks: int | None = None,
 ) -> ray.data.Dataset:
     """``groupby(keys).map_groups(fn)`` semantics at ONE Python task call
-    per hash BUCKET of keys instead of one per key group
+    per reduce BLOCK of hash buckets of keys instead of one per key group
     (:func:`~ocr_ray.stages.groupagg.bucketed_map_groups`) for the LSH
     candidate stages, whose group count is corpus-proportional (docs x
     bands): the shuffle moves the same rows, but the number of Python
-    invocations drops from O(#groups) to O(#buckets).
+    task calls drops from O(#groups) to O(#blocks).
 
-    ``keys`` must be integer columns.  Inside a bucket task the rows are
+    ``keys`` must be integer columns.  Inside a block task the rows are
     sorted by ``keys`` once, group boundaries found vectorized, and ``fn``
     called only on groups of at least ``min_group_size`` rows (pair
-    generators pass 2 — singleton buckets, the vast majority under LSH,
+    generators pass 2 — singleton groups, the vast majority under LSH,
     never reach Python at all).  ``empty_result`` pins the output schema
-    for buckets that yield nothing (schema-less empty blocks break
+    for blocks that yield nothing (schema-less empty blocks break
     downstream joins).  ``pre_shuffle_blocks`` coalesces (no shuffle)
     when the caller sized the data as small (see sized_num_blocks)."""
     from .groupagg import bucketed_map_groups
@@ -690,10 +691,10 @@ def minhash_dedup_pairs(
     sort/collect only at the driver edge if their result is small.
 
     Vectorized from the band shuffle to the verified pairs: one
-    :func:`_minhash_bucket_pairs` call per hash bucket of
-    ``(band_id, band_hash)`` (no Python call per LSH group below the skew
-    budget), one-chunk bucket outputs into the distinct aggregate, and one
-    :func:`jaccard_batch` call per verify bucket.  The verify side is a
+    :func:`_minhash_bucket_pairs` call per reduce block of hash buckets
+    of ``(band_id, band_hash)`` (no Python call per LSH group below the skew
+    budget), one-chunk block outputs into the distinct aggregate, and one
+    :func:`jaccard_batch` call per verify block.  The verify side is a
     distributed hash-join of candidate ids back against ``docs`` (see
     :func:`verify_pairs_against_corpus`); no corpus text ever reaches the
     driver.  ``docs`` must carry doc_id + text.

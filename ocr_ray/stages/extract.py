@@ -128,16 +128,17 @@ def extract_blocks(batch: pa.Table) -> pa.Table:
 
 
 def assemble_bucket(group: pa.Table, *, footnote_mode: str = "keep") -> pa.Table:
-    """Per-bucket fn of the exploded-mode reassembly shuffle
+    """Per-block fn of the exploded-mode reassembly shuffle
     (``groupagg.bucketed_map_groups`` on ``url``): ALL documents of one
-    hash bucket, their rows sorted by (url, doc, order) so each starts
+    reduce block, their rows sorted by (url, doc, order) so each starts
     with its head row, go through one
     :func:`~ocr_ray.extract_core.page_rows` call: one EXTRACTED row per
     (url, doc), i.e. per input row.
 
     One Python call per url (600k map_groups invocations for 600k docs) is
     ~10x slower than the shuffle itself; bucketing by url-hash turns that
-    into one call per bucket — the guide's coarse-key groupby pattern."""
+    into one call per reduce block — the guide's coarse-key groupby
+    pattern."""
     rows = group.sort_by(
         [("url", "ascending"), ("doc", "ascending"), ("order", "ascending")]
     ).to_pylist()

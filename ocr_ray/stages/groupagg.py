@@ -11,17 +11,17 @@ fatal at data-proportional ones (content hashes, doc ids: 10^10 groups at
 100 TB = ~80 CPU-hours of pure overhead).
 
 This stage keeps the same all-to-all but reduces each partition with ONE
-lexsort + run-length/``reduceat`` numpy kernel per coarse bucket — the
-same medicine as the extraction path's assemble_bucket lesson (one Python
-call per bucket, never per key).  Supported: 1-2 integer or string key
-columns; count, sum over integer or float values, min/max over integer,
-float or string values.  Exactness: bitwise — the kernel is a
-deterministic regrouping of the same rows.
+lexsort + run-length/``reduceat`` numpy kernel per reduce block, which
+holds whole coarse buckets — the same medicine as the extraction path's
+assemble_bucket lesson (one Python call per block, never per key).
+Supported: 1-2 integer or string key columns; count, sum over integer or
+float values, min/max over integer, float or string values.  Exactness:
+bitwise — the kernel is a deterministic regrouping of the same rows.
 
 :func:`group_topk` is ``row_number() OVER (PARTITION BY keys ORDER BY
 ...) <= k`` on the same shuffle: one :func:`topk_rows` (one Arrow sort,
 one adjacent-key scan) per block as the map-side partial, then one per
-bucket.
+reduce block.
 
 :func:`value_histogram` is the per-group (value, count) histogram that
 exact per-group ranks and quantiles walk on the driver.
@@ -55,16 +55,20 @@ def bucketed_map_groups(
     pre_shuffle_blocks: int | None = None,
 ) -> ray.data.Dataset:
     """THE keyed-bucket shuffle: every row of one key value lands in one
-    bucket, and ``fn`` runs once per BUCKET (never once per key) on all of
-    that bucket's rows in ``batch_format`` — ``fn`` groups by exact key
-    equality itself, so the bucket choice cannot change a result.
+    bucket, every bucket in one reduce block, and ``fn`` runs once per
+    reduce BLOCK (never once per key or per bucket) on all of that block's
+    rows in ``batch_format`` — ``fn`` groups by exact key equality itself,
+    so neither the bucket nor the block choice can change a result.
 
     One pyarrow map appends ``__bucket`` (:func:`bucket_ids`), an optional
     ``repartition(pre_shuffle_blocks, shuffle=False)`` coalesces small
     inputs (the all-to-all pays a fixed cost per input block), then one
-    ``groupby("__bucket").map_groups``; ``fn`` never sees ``__bucket``.
-    Per-key calls were measured ~10x slower than the shuffle itself.
-    ``n_buckets`` defaults to 8 per CPU (at least 32).
+    ``sort("__bucket")`` (range boundaries never split a bucket) and one
+    ``map_batches(batch_size=None)``: one sort, then one scan per block,
+    with no per-group dispatch.  A block's rows reach ``fn`` in bucket
+    order, without ``__bucket``; a block with no rows never reaches ``fn``
+    (its output block has no schema).  ``n_buckets`` defaults to 8 per CPU
+    (at least 32).
 
     A pyarrow result of ``fn`` is returned as ``combine_chunks()``: a
     kernel that concatenates one small table per key group would otherwise
@@ -80,15 +84,17 @@ def bucketed_map_groups(
             "__bucket", pa.array(bucket_ids(batch, keys, n), pa.int64())
         )
 
-    def call(group):
+    def call(block):
         if batch_format == "pandas":
-            return fn(group.drop(columns=["__bucket"]))
-        return fn(group.drop_columns(["__bucket"])).combine_chunks()
+            return fn(block.drop(columns=["__bucket"]))
+        return fn(block.drop_columns(["__bucket"])).combine_chunks()
 
     bucketed = ds.map_batches(tag, batch_format="pyarrow")
     if pre_shuffle_blocks:
         bucketed = bucketed.repartition(pre_shuffle_blocks, shuffle=False)
-    return bucketed.groupby("__bucket").map_groups(call, batch_format=batch_format)
+    return bucketed.sort("__bucket").map_batches(
+        call, batch_format=batch_format, batch_size=None
+    )
 
 
 def topk_rows(
@@ -135,11 +141,11 @@ def group_topk(
 
     :func:`topk_rows` runs once per block as the map-side partial, so at
     most ``k`` rows per (block, key) enter the keyed-bucket shuffle
-    (:func:`bucketed_map_groups` on ``keys``), and once per bucket to
-    resolve — a hot key never lands as its whole row set in one task.
+    (:func:`bucketed_map_groups` on ``keys``), and once per reduce block
+    to resolve — a hot key never lands as its whole row set in one task.
     The result is a total order only when ``order_by`` ends in a unique
-    column.  Like every ``map_groups`` output, a bucket with no rows comes
-    back as a block with no schema (Ray runs no UDF on an empty block)."""
+    column.  A reduce block with no rows comes back as a block with no
+    schema (Ray runs no UDF on an empty block)."""
 
     def partial(batch: pa.Table) -> pa.Table:
         return topk_rows(batch, keys, order_by, k).drop_columns(["rank"])
@@ -147,7 +153,7 @@ def group_topk(
     return bucketed_map_groups(
         ds.map_batches(partial, batch_format="pyarrow", batch_size=None),
         keys,
-        lambda bucket: topk_rows(bucket, keys, order_by, k),
+        lambda block: topk_rows(block, keys, order_by, k),
     )
 
 
@@ -161,10 +167,10 @@ def bucketed_group_agg(
     """GROUP BY ``keys`` (1-2 int64 columns) computing ``aggs`` — a dict of
     ``out_col -> (op, src_col)`` with op in count/min/max/sum (src_col is
     None for count).  One shuffle over ``n_buckets`` coarse groups, one
-    vectorized kernel per bucket.
+    vectorized kernel per reduce block.
 
     min/max also work on STRING value columns (r5): the kernel
-    dictionary-encodes the bucket's values, ranks the (small) dictionary
+    dictionary-encodes the block's values, ranks the (small) dictionary
     once with one Arrow sort, and reduceats over the rank lanes — still
     no per-group Python.
 
@@ -183,7 +189,7 @@ def bucketed_group_agg(
 
     def key_lane(tbl: pa.Table, name: str):
         """(int64 sort lane, dictionary-or-None) for a key column: equal
-        lane values <=> equal keys within this bucket's rows."""
+        lane values <=> equal keys within this block's rows."""
         col = tbl.column(name)
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()

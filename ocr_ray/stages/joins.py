@@ -5,13 +5,13 @@ these are the standard shapes a data-processing engine owes its users:
 
 - :func:`hash_join` — both-sides-large equi-join: tag + union both sides,
   ONE key-bucket shuffle (``groupagg.bucketed_map_groups``), one Arrow
-  ``pa.Table.join`` per bucket; :func:`auto_join` broadcasts a provably
+  ``pa.Table.join`` per reduce block; :func:`auto_join` broadcasts a provably
   small right side instead.
 - :func:`asof_join` — sort-merge as-of: tag + union both sides, ONE
   key-bucket shuffle (``groupagg.bucketed_map_groups``), one vectorized
-  ``pd.merge_asof(by=key)`` per bucket (ray_guide 'As-of / range join'
-  pattern).  Partitioning assumption: one bucket's rows fit in a group
-  task; salt hot keys upstream if not.
+  ``pd.merge_asof(by=key)`` per reduce block (ray_guide 'As-of / range join'
+  pattern).  Partitioning assumption: one reduce block's rows fit in
+  one task; salt hot keys upstream if not.
 - :func:`running_window` — per-key ordered cumulative aggregates over the
   same key-bucket shuffle (sort inside the bucket, never globally).
 - :func:`bucketed_prefix_sum` — global running total over ordered RANGE
@@ -30,7 +30,7 @@ import ray.data
 from ..sources.io import collect_tables
 from .groupagg import bucketed_group_agg, bucketed_map_groups
 
-#: hash_join's join types -> the Acero join verb run inside each bucket
+#: hash_join's join types -> the Acero join verb run inside each reduce block
 #: (the same verbs Ray's own join operator passes to ``pa.Table.join``)
 _ARROW_JOIN_VERB = {
     "inner": "inner",
@@ -77,17 +77,17 @@ def hash_join(
     other side's rows (right payloads ride as ``__r:<name>`` so equal
     names cannot collide), and an int8 ``__side`` — unioned, and
     bucketed on the keys by :func:`~ocr_ray.stages.groupagg.bucketed_map_groups`.
-    Each bucket splits back into its left and right tables (a side with no
-    rows there is its empty typed table) and runs ONE
+    Each reduce block splits back into its left and right tables (a side
+    with no rows there is its empty typed table) and runs ONE
     ``pa.Table.join(keys=on, right_keys=right_on, join_type=<verb>)``: the
     Acero call Ray's join operator makes per partition, so output columns
     (key coalesced under the left name; ``right_outer`` keeps the right
     key) and null-key semantics (a null key matches nothing) are Acero's.
 
     ``join_type`` is one of inner / left_outer / right_outer / full_outer /
-    left_semi / left_anti.  Contract, as for :func:`asof_join`: a bucket's
-    rows from both sides fit in one task, so a hot key's rows sit in one
-    task; salt hot keys upstream if that does not hold."""
+    left_semi / left_anti.  Contract, as for :func:`asof_join`: a reduce
+    block's rows from both sides fit in one task, so a hot key's rows sit
+    in one task; salt hot keys upstream if that does not hold."""
     verb = _ARROW_JOIN_VERB[join_type]
     lkeys = list(_as_keys(on))
     rkeys = list(_as_keys(right_on)) if right_on else lkeys
@@ -245,7 +245,7 @@ def auto_join(
 ) -> ray.data.Dataset:
     """Join planning by size: broadcast the right side when its size is
     KNOWN (parquet metadata / materialized blocks) and under the limit;
-    otherwise :func:`hash_join`, one Arrow join per bucket of the
+    otherwise :func:`hash_join`, one Arrow join per reduce block of the
     keyed-bucket shuffle (every other join type always takes it).  Right
     keys must be unique (dimension semantics) for the broadcast path —
     the standard broadcast-vs-shuffle planner rule.  ``on`` / ``right_on`` accept a
@@ -287,7 +287,9 @@ def semi_anti_join(
     key = right_on or on
     # the distinct key set is RIGHT-TABLE-cardinality: bucketed fold (r5);
     # int64 and string keys take the lexsort/reduceat kernel, anything
-    # else falls back to the native aggregate
+    # else falls back to the native aggregate.  The key type comes from
+    # the executed key column: a lazy plan's schema() runs it again
+    right = right.select_columns([key]).materialize()
     ktype = right.schema().base_schema.field(key).type
     if (
         pa.types.is_integer(ktype)
@@ -355,8 +357,8 @@ def asof_join(
 
     Implementation: both sides mapped to one common (key, ts, side, keep...)
     layout, union, ONE groupby(key-BUCKET) shuffle, and ONE vectorized
-    ``pd.merge_asof(..., by="key")`` per bucket task — neither side is
-    materialized on the driver, and pandas is invoked once per bucket with
+    ``pd.merge_asof(..., by="key")`` per reduce block — neither side is
+    materialized on the driver, and pandas is invoked once per block with
     every key handled inside the single sort-merge pass.
     """
     # arrow types of the keep columns, so right rows ship NULLS (validity

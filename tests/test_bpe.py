@@ -76,3 +76,67 @@ def test_merge_application_order():
     # 'abc' -> a b c -> ab c -> abc : one token
     ids = tok.encode("abc")
     assert [tok.vocab[i] for i in ids] == ["abc"]
+
+
+_BPE_ROUNDTRIP_SCRIPT = """
+import json, sys, time
+
+import duckdb
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+
+ray.init(address="local", num_cpus=1, include_dashboard=False, logging_level="ERROR")
+import ray.data
+
+ray.data.DataContext.get_current().enable_progress_bars = False
+from ocr_ray.pipelines.queries import ORACLE_SQL, QUERIES
+
+sf = sys.argv[1]
+texts = ["doc %d: naïve café 東京 ünïcödé — %s" % (i, "word " * (i % 7)) for i in range(120)]
+docs = pa.table({"doc_id": pa.array(range(120), pa.int64()), "text": pa.array(texts)})
+pq.write_table(docs, sf + "/documents.parquet")
+t0 = time.perf_counter()
+got = QUERIES["bpe_roundtrip"](sf).to_pandas().sort_values("doc_id")
+took = time.perf_counter() - t0
+con = duckdb.connect()
+con.execute("CREATE VIEW documents AS SELECT * FROM read_parquet('%s')" % (sf + "/documents.parquet"))
+want = con.execute(ORACLE_SQL["bpe_roundtrip"]).df().sort_values("doc_id")
+assert got["doc_id"].tolist() == want["doc_id"].tolist()
+assert got["text"].tolist() == want["text"].tolist() == texts
+ray.shutdown()
+print(json.dumps({"query_s": took}))
+"""
+
+
+def test_bpe_roundtrip_finishes_on_one_cpu(tmp_path):
+    """On a 1-CPU Ray cluster the registered ``bpe_roundtrip`` query
+    finishes within 30 s and equals its DuckDB oracle (an actor pool of
+    four never got its CPUs there and hung).  Runs in its own process (own
+    Ray cluster), killed with its whole process group on timeout."""
+    import json
+    import os
+    import pathlib
+    import signal
+    import subprocess
+    import sys
+
+    import pytest
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root))
+    env.pop("RAY_ADDRESS", None)
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _BPE_ROUNDTRIP_SCRIPT, str(tmp_path)],
+        cwd=root, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("bpe_roundtrip did not finish within 120 s on a 1-CPU cluster")
+    assert proc.returncode == 0, err[-3000:]
+    took = json.loads(out.strip().splitlines()[-1])
+    assert took["query_s"] < 30, took

@@ -177,6 +177,35 @@ def test_semi_anti_join_broadcast_and_shuffle_paths(ray_session):
     assert sorted(anti2["k"]) == [1, 3] and "__hit" not in anti2.columns
 
 
+@pytest.mark.parametrize("broadcast_limit", [joins.BROADCAST_BYTES, 0])
+def test_semi_anti_join_runs_right_side_once(ray_session, tmp_path, broadcast_limit):
+    """The right side's plan runs once, on the broadcast and the shuffle
+    path: the key type comes from the executed key column, never from
+    ``schema()`` on the lazy plan (Ray runs that again as ``limit(1)``)."""
+    import pyarrow as pa
+    import ray.data
+
+    log = tmp_path / "right.log"
+
+    def logged(batch: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("%d\n" % batch.num_rows)
+        return batch
+
+    left = ray.data.from_arrow(pa.table({"k": pa.array(range(12), pa.int64())}))
+    t = pa.table({"rk": pa.array([i % 6 * 2 for i in range(40)], pa.int64())})
+    right = ray.data.from_arrow([t.slice(i * 10, 10) for i in range(4)]).map_batches(
+        logged, batch_format="pyarrow"
+    )
+    out = joins.semi_anti_join(
+        left, right, on="k", right_on="rk", broadcast_limit=broadcast_limit
+    )
+    assert sorted(pa.concat_tables(collect_tables(out)).column("k").to_pylist()) == [
+        0, 2, 4, 6, 8, 10
+    ]
+    assert sum(int(n) for n in log.read_text().split()) == 40
+
+
 def test_semi_anti_join_null_left_keys(ray_session):
     """SQL NOT EXISTS KEEPS a left row whose key is NULL (the subquery
     matches nothing); EXISTS drops it.  is_in yields null for null input,

@@ -4,6 +4,7 @@ caps, exact distributed quantiles (ocr_ray.pipelines.queries_cc)."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pytest
 
 from ocr_ray.pipelines import queries_cc as cc
 
@@ -358,6 +359,82 @@ def test_registered_query_runs_once(ray_session, tmp_path, plan_runs):
     got = pa.concat_tables(blocks)
     assert df["doc_id"].tolist() == got.column("doc_id").to_pylist()
     assert sorted(got.column("doc_id").to_pylist()) == [1] + list(range(3, 12))
+
+
+def test_curation_neardup_matches_sql_on_ties_and_caps(ray_session, tmp_path):
+    """The canonical member of a cluster is its longest doc, ties to the
+    smallest doc_id; unclustered docs are their own singletons; the source
+    cap keeps the 20 smallest survivors.  Checked against the DuckDB
+    oracle and against the expected ids."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from ocr_ray.pipelines.queries import QUERIES
+
+    def words(tag):
+        return " ".join("%s%d" % (tag, j) for j in range(30))
+
+    # clusters: {0, 1, 2} (n_chars 50, 70, 70: the tie goes to 1), {5, 8}
+    # (equal lengths: 5) and {31, 40}; 3, 4, 6, 7 and 9..39 minus 31 are
+    # unclustered; s0 holds 28 survivors, so its cap binds
+    texts = {i: words("u%d_" % i) for i in range(42)}
+    for i in (0, 1, 2):
+        texts[i] = words("a")
+    for i in (5, 8):
+        texts[i] = words("b")
+    for i in (31, 40):
+        texts[i] = words("c")
+    n_chars = {i: 60 for i in texts}
+    n_chars.update({0: 50, 1: 70, 2: 70, 31: 10, 40: 90})
+    ids = sorted(texts)
+    t = pa.table(
+        {
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": pa.array([texts[i] for i in ids]),
+            "n_chars": pa.array([n_chars[i] for i in ids], pa.int64()),
+            "source": pa.array(["s0" if i < 30 else "s1" for i in ids]),
+        }
+    )
+    pq.write_table(t, str(tmp_path / "documents.parquet"))
+    got = QUERIES["curation_neardup"](str(tmp_path)).to_pandas()
+    con = duckdb.connect()
+    con.register("documents", t)
+    want = con.execute(cc.SQL_CURATION_NEARDUP).df()
+    survivors_s0 = [i for i in range(30) if i not in (0, 2, 8)]
+    expect = sorted(survivors_s0[:20] + [i for i in range(30, 42) if i != 31])
+    assert sorted(got["doc_id"]) == sorted(want["doc_id"]) == expect
+    assert sorted(zip(got["doc_id"], got["source"])) == sorted(
+        zip(want["doc_id"], want["source"])
+    )
+
+
+@pytest.mark.parametrize("name", ["distinct_segments", "tfidf_by_source"])
+def test_distinct_values_collect_once(ray_session, tmp_path, plan_runs, name):
+    """The distinct-value count of tfidf_by_source and the distinct
+    segments come from one run each: no plan runs again as ``limit(1)``
+    (``Dataset.unique`` ran its aggregate a second time that way)."""
+    import pyarrow.parquet as pq
+
+    from ocr_ray.pipelines.queries import QUERIES
+
+    pq.write_table(
+        pa.table({"c_mktsegment": pa.array(["b", "a", "b", "c"] * 5)}),
+        str(tmp_path / "customer.parquet"),
+    )
+    pq.write_table(
+        pa.table(
+            {
+                "doc_id": pa.array(range(6), pa.int64()),
+                "source": pa.array(["s0", "s1", "s2"] * 2),
+                "text": pa.array(["alpha beta", "beta", "gamma alpha"] * 2),
+            }
+        ),
+        str(tmp_path / "documents.parquet"),
+    )
+    out = QUERIES[name](str(tmp_path))
+    assert plan_runs and not [r for r in plan_runs if "limit=" in r], plan_runs
+    if name == "distinct_segments":
+        assert sorted(out.column("segment").to_pylist()) == ["a", "b", "c"]
 
 
 def test_doc_zscore_known_values(ray_session, tmp_path):

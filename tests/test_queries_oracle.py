@@ -29,6 +29,7 @@ PICKS = [
     "split_counts",
     "doc_chunks",
     "distinct_segments",
+    "tfidf_by_source",
     "paragraph_dedup",
     "source_cap",
     "len_quantiles",

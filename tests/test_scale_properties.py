@@ -627,3 +627,27 @@ def test_bucketed_map_groups_matches_groupby(ray_session, batch_format, key_type
     want = rows(ds.groupby("k").map_groups(per_key, batch_format=batch_format))
     assert got == want
     assert sum(c for _, c, _ in got) == n
+
+
+def test_bucketed_map_groups_calls_fn_once_per_reduce_block(ray_session, tmp_path):
+    """64 buckets over 5 input blocks: ``fn`` runs at most once per reduce
+    block (the bucket sort keeps 5 blocks), never once per bucket, and
+    sees every row exactly once."""
+    import pyarrow as pa
+    import ray.data
+
+    from ocr_ray.stages.groupagg import bucketed_map_groups
+
+    log = tmp_path / "calls.log"
+    t = pa.table({"k": pa.array(np.arange(600) % 97, pa.int64())})
+    ds = ray.data.from_arrow([t.slice(i * 120, 120) for i in range(5)])
+
+    def fn(block: pa.Table) -> pa.Table:
+        with open(log, "a") as f:
+            f.write("%d\n" % block.num_rows)
+        return block
+
+    out = bucketed_map_groups(ds, ["k"], fn, n_buckets=64).materialize()
+    calls = [int(n) for n in log.read_text().split()]
+    assert 1 <= len(calls) <= 5, calls
+    assert sum(calls) == out.count() == 600

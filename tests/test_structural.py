@@ -112,15 +112,21 @@ def test_registry_oracle_coverage():
     assert ROWS_ONLY_BY_DESIGN <= set(QUERIES)
 
 
-#: the only hash/range-bucket shuffles allowed outside
-#: ``groupagg.bucketed_map_groups`` and the only ``zlib.crc32`` calls
-#: allowed beside ``strhash.key_hash``, keyed (file, top-level def) with
-#: None for a whole file
+#: the only hash/range-bucket shuffles and per-key ``map_groups`` calls
+#: allowed outside ``groupagg.bucketed_map_groups`` and the only
+#: ``zlib.crc32`` calls allowed beside ``strhash.key_hash``, keyed (file,
+#: top-level def) with None for a whole file
 BUCKET_GUARD_ALLOW = {
     ("stages/joins.py", "bucketed_prefix_sum"): "range buckets, which must stay ordered",
     ("stages/groupagg.py", "tree_merge_partials"): "buckets one partial per block, not data rows",
     ("codecs.py", "encode_png"): "the PNG chunk CRC is a format field",
     ("pipelines/queries_train.py", "q_fetch_corpus"): "one scalar scratch-dir key per run",
+    ("stages/multimodal.py", "phash_neardup_pairs"): "(band, 16-bit value) keys: at most 4 x 2^16",
+    ("pipelines/queries_cc.py", "q_inverted_index"): "one group per kept token: at most INVERTED_K",
+    ("pipelines/queries_cur.py", "q_embedding_centroids"): "one group per class label",
+    ("pipelines/queries_ext.py", "q_semantic_dedup"): "one group per k-means cluster: SEMDEDUP_K",
+    ("pipelines/queries_train.py", "q_distinct_tokens_by_lang"): "one HLL merge per language",
+    ("pipelines/queries_web.py", "q_doc_row_number"): "one base offset per distinct length",
 }
 
 
@@ -141,12 +147,14 @@ def _bucket_guard_findings(rel: str, tree) -> list:
                 f = child.func
                 key = child.args[0] if child.args else None
                 if (
-                    f.attr == "groupby"
+                    f.attr in ("groupby", "sort")
                     and isinstance(key, ast.Constant)
                     and "bucket" in str(key.value)
                     and rel != "stages/groupagg.py"
                 ):
-                    found.append((where, child.lineno, f'groupby("{key.value}")'))
+                    found.append((where, child.lineno, f'{f.attr}("{key.value}")'))
+                if f.attr == "map_groups" and rel != "stages/groupagg.py":
+                    found.append((where, child.lineno, "map_groups()"))
                 if f.attr == "crc32" and getattr(f.value, "id", None) == "zlib":
                     found.append((where, child.lineno, "zlib.crc32"))
                 if f.attr == "join" and any(
@@ -169,11 +177,13 @@ def _bucket_guard_findings(rel: str, tree) -> list:
 
 
 def test_one_keyed_bucket_shuffle():
-    """Every hash-bucket ``groupby().map_groups()`` goes through
+    """Every keyed-bucket shuffle goes through
     ``stages/groupagg.bucketed_map_groups``: no ``_add_key_bucket``, no
-    ``groupby("...bucket...")``, no ``zlib.crc32`` call (a row-key hash
-    beside ``strhash.key_hash``, even one called per row from a helper) and
-    no ``Dataset.join`` (a ``.join(...)`` with ``num_partitions=``; joins
+    ``groupby("...bucket...")`` or ``sort("...bucket...")``, no
+    ``.map_groups(`` call (one Python call per key group), no
+    ``zlib.crc32`` call (a row-key hash beside ``strhash.key_hash``, even
+    one called per row from a helper) and no ``Dataset.join`` (a
+    ``.join(...)`` with ``num_partitions=``; joins
     are ``stages/joins.hash_join`` on the same shuffle) and no pandas
     ``.groupby(...).head(...)`` (a hand-rolled grouped top-k; that is
     ``groupagg.group_topk`` / ``topk_rows``) elsewhere in ``ocr_ray/``,
@@ -207,6 +217,10 @@ def test_bucket_guard_catches_hand_rolled_copies():
         "    out = ds.join(ds, join_type='inner', num_partitions=n, on=('k',))\n"
         "    top = df.sort_values(['g', 'v']).groupby('g', sort=False).head(3)\n"
         "    return ds.groupby('__bucket').map_groups(f)\n"
+        "def r(ds):\n"
+        "    return ds.sort('__bucket').map_batches(f, batch_size=None)\n"
+        "def s(ds):\n"
+        "    return ds.groupby('user_id').map_groups(f, batch_format='pandas')\n"
     )
     found = {
         (where, what)
@@ -217,8 +231,11 @@ def test_bucket_guard_catches_hand_rolled_copies():
         ("q", "zlib.crc32"),
         ("q", "_add_key_bucket"),
         ("q", 'groupby("__bucket")'),
+        ("q", "map_groups()"),
         ("q", "join(num_partitions=)"),
         ("q", "groupby().head()"),
+        ("r", 'sort("__bucket")'),
+        ("s", "map_groups()"),
     }
 
 

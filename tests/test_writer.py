@@ -190,6 +190,46 @@ def test_write_partition_rejects_two_partitions(tmp_path):
     assert not os.path.exists(tmp_path / "o")
 
 
+def test_one_block_over_sixteen_partitions_writes_sixteen_files(ray_session, tmp_path):
+    """One input block spread over 16 partitions reaches the write as one
+    reduce block: it still lands as one file per partition, each holding
+    only that partition's rows, and each manifest count equals its file's
+    rows."""
+    import pyarrow.parquet as pq
+
+    out = str(tmp_path / "o")
+    ds = ray.data.from_arrow(_docs_table(400))
+    assert ds.num_blocks() == 1
+    r = writer.write_partitioned(ds, out, key="doc_id", n_partitions=16)
+    assert r == {"written": 400, "skipped_partitions": 0}
+    done = mf.completed_partitions(out, n_partitions=16)
+    assert sorted(done) == list(range(16))
+    for pid, entry in done.items():
+        pdir = os.path.join(out, "partition_id=%d" % pid)
+        assert os.listdir(pdir) == ["part-0.parquet"]
+        ids = pq.read_table(os.path.join(pdir, "part-0.parquet")).column("doc_id").to_pylist()
+        assert {ref.partition_id(i, 16) for i in ids} == {pid}
+        assert entry["n_docs"] == len(ids)
+    assert sorted(writer.read_partitioned(out).column("doc_id").to_pylist()) == list(range(400))
+
+
+def test_block_out_of_partition_order_raises(ray_session, tmp_path, monkeypatch):
+    """A reduce block whose partitions are not in order (a second run of
+    one partition would overwrite its file) raises before any write."""
+    tbl = _docs_table(64)
+    pids = np.array([ref.partition_id(i, 4) for i in range(64)])
+    order = np.argsort(pids, kind="stable")
+    # partition order, but the first row moved last: two runs of its partition
+    unordered = tbl.take(pa.array(np.append(order[1:], order[0])))
+    monkeypatch.setattr(
+        writer, "bucketed_map_groups",
+        lambda ds, keys, fn, n_buckets: ray.data.from_arrow(fn(unordered)),
+    )
+    with pytest.raises(ValueError, match="partition order"):
+        writer.write_partitioned(_docs(64), str(tmp_path / "o"), key="doc_id", n_partitions=4)
+    assert not os.path.exists(tmp_path / "o" / "partition_id=0")
+
+
 def test_jsonl_and_csv_sink_roundtrip_with_resume(ray_session, tmp_path):
     """Interchange sinks keep every writer guarantee: round-trip content,
     manifest row counts, and resume skipping — only the body serializer
